@@ -46,6 +46,9 @@ GROUP_NOISE_SHAPE = np.diag([0.3, 0.3, 0.3])
 
 EXCLUSION_LIMIT = 1e-3
 
+# SO3 holds no per-call state, so one shared descriptor serves every sample.
+_SO3 = SO3()
+
 
 def default_tau_grid(tau_min: float = 1e-3, tau_max: float = 1.0,
                      points: int = 13) -> np.ndarray:
@@ -89,7 +92,7 @@ def build_prior() -> ConcentratedGaussian:
         "prior covariance has spectral norm 1.0; the concentrated-distribution "
         "assumption is marginal for this stress-test prior",
         NonConcentratedWarning, stacklevel=2)
-    return ConcentratedGaussian(SO3().exp(PRIOR_OFFSET), PRIOR_COV.copy())
+    return ConcentratedGaussian(_SO3.exp(PRIOR_OFFSET), PRIOR_COV.copy())
 
 
 def measure_euclidean(rotation: np.ndarray) -> np.ndarray:
@@ -111,7 +114,7 @@ def observe_group(rotation: np.ndarray, tau: float, seed) -> np.ndarray:
     """Full-state observation R exp(r) with r ~ N(0, tau * shape)."""
     rng = np.random.default_rng(seed)
     r = rng.standard_normal(3) * np.sqrt(tau * np.diag(GROUP_NOISE_SHAPE))
-    return np.asarray(rotation, float) @ SO3().exp(r)
+    return np.asarray(rotation, float) @ _SO3.exp(r)
 
 
 def _draw_truth(rng: np.random.Generator, mu: np.ndarray, root: np.ndarray,
@@ -133,7 +136,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     counted; the run fails with ExclusionOverflowError if more than 0.1% of
     all samples are excluded.
     """
-    group = SO3()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConcentratedWarning)
         prior = build_prior()
@@ -151,30 +153,30 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
             obs_model = ObservationModelEuclidean(
                 measure_euclidean, tau * EUCLIDEAN_NOISE_SHAPE)
         else:
-            obs_model = ObservationModelGroup(group, tau * GROUP_NOISE_SHAPE)
+            obs_model = ObservationModelGroup(_SO3, tau * GROUP_NOISE_SHAPE)
         err_plain: list[np.ndarray] = []
         err_mod: list[np.ndarray] = []
         for i in range(cfg.sample_count):
             rng = np.random.default_rng(
                 np.random.SeedSequence(cfg.seed, spawn_key=(tau_idx, i)))
-            truth, tries = _draw_truth(rng, prior.mean, root, group)
+            truth, tries = _draw_truth(rng, prior.mean, root, _SO3)
             rejected_draws += tries
             try:
                 if cfg.model == "euclidean":
                     z = observe_euclidean(truth, tau, rng)
-                    post_mod = fuse_euclidean(group, prior, obs_model, z,
+                    post_mod = fuse_euclidean(_SO3, prior, obs_model, z,
                                               modified=True)
-                    post_plain = fuse_euclidean(group, prior, obs_model, z,
+                    post_plain = fuse_euclidean(_SO3, prior, obs_model, z,
                                                 modified=False)
                 else:
                     g_z = observe_group(truth, tau, rng)
-                    post_mod = fuse_group(group, prior, obs_model, g_z,
+                    post_mod = fuse_group(_SO3, prior, obs_model, g_z,
                                           modified=True)
-                    post_plain = fuse_group(group, prior, obs_model, g_z,
+                    post_plain = fuse_group(_SO3, prior, obs_model, g_z,
                                             modified=False)
                 truth_inv = truth.T
-                err_mod.append(group.log(truth_inv @ post_mod.mean))
-                err_plain.append(group.log(truth_inv @ post_plain.mean))
+                err_mod.append(_SO3.log(truth_inv @ post_mod.mean))
+                err_plain.append(_SO3.log(truth_inv @ post_plain.mean))
             except LieDomainError:
                 excluded += 1
         e_mod = np.asarray(err_mod).reshape(-1, 3)

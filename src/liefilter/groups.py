@@ -14,7 +14,12 @@ Two concrete descriptors are provided:
 
 Anything else can subclass :class:`MatrixLieGroup` and inherit power-series
 fallbacks for the exponential, the adjoint machinery, and the four coordinate
-Jacobians (truncated at 20 terms of the ``ad`` series).
+Jacobians (truncated at 20 terms of the ``ad`` series).  The partial
+derivatives of the inverse Jacobians differentiate that truncated series
+termwise, for every component at once: with A = ad(x) and
+S_k = ad(e_k) = dA/dx_k, the derivatives D_m = d(A^m)/dx_k obey
+D_1 = S_k and D_m = D_{m-1} A + A^{m-1} S_k, one batched recurrence over
+the 19 powers for all k together.
 
 All operations are pure functions of their inputs and safe to call from
 concurrent threads; the only internal state is a cache of one-parameter
@@ -156,29 +161,33 @@ class MatrixLieGroup:
         return self.left_jacobian_inv(-np.asarray(x, float))
 
     def left_jacobian_inv_partial(self, x: np.ndarray, k: int) -> np.ndarray:
-        return self._series_inv_partial(np.asarray(x, float), k)
+        return self.left_jacobian_inv_partials(x)[k]
 
     def right_jacobian_inv_partial(self, x: np.ndarray, k: int) -> np.ndarray:
-        # J_r^-1(x) = J_l^-1(-x), so the partial picks up one sign flip.
-        return -self._series_inv_partial(-np.asarray(x, float), k)
+        return self.right_jacobian_inv_partials(x)[k]
 
-    def right_jacobian_inv_partials(self, x: np.ndarray) -> list[np.ndarray]:
-        """All dim partial derivatives of J_r^-1; hot loops use this entry
-        point so subclasses can share work across components."""
-        return [self.right_jacobian_inv_partial(x, k) for k in range(self.dim)]
-
-    def _series_inv_partial(self, x: np.ndarray, k: int) -> np.ndarray:
-        """Termwise derivative of the truncated inverse-left-Jacobian series."""
+    def left_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
+        """All dim partial derivatives dJ_l^-1/dx_k, shape (dim, ..., N, N),
+        from the derivative recurrence of the module docstring."""
         A = self.ad(x)
-        Ak = self.ad(np.eye(self.dim)[k])
-        powers = [np.broadcast_to(np.eye(self.dim), A.shape)]
-        for _ in range(_SERIES_TERMS - 1):
-            powers.append(powers[-1] @ A)
-        out = np.zeros(A.shape)
-        for m in range(1, _SERIES_TERMS):
-            deriv = sum(powers[a] @ Ak @ powers[m - 1 - a] for a in range(m))
+        gens = self._struct.reshape((self.dim,) + (1,) * (A.ndim - 2) + A.shape[-2:])
+        power = np.broadcast_to(np.eye(self.dim), A.shape)      # A^(m-1)
+        deriv = np.broadcast_to(gens, (self.dim,) + A.shape)    # D_1 = ad(e_k)
+        out = _B_COEF[1] * deriv
+        for m in range(2, _SERIES_TERMS):
+            power = power @ A
+            deriv = deriv @ A + power @ gens
             out = out + _B_COEF[m] * deriv
         return out
+
+    def right_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
+        """All dim partial derivatives dJ_r^-1/dx_k, shape (dim, ..., N, N).
+
+        Termwise derivative of the 20-term series of J_r^-1(x) = J_l^-1(-x):
+        the recurrence D_m = D_{m-1} A + A^{m-1} ad(e_k) runs for every k at
+        once at -x, 19 batched steps, and the result takes one sign flip.
+        """
+        return -self.left_jacobian_inv_partials(-np.asarray(x, float))
 
     def _checked(self, J: np.ndarray) -> np.ndarray:
         det = np.linalg.det(J)
@@ -325,17 +334,13 @@ class SO3(MatrixLieGroup):
     def right_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
         return self._jacobian_inv(x, 1.0)
 
-    def right_jacobian_inv_partial(self, x: np.ndarray, k: int) -> np.ndarray:
-        return self._inv_partials(x, first_order=0.5, components=(k,))[0]
+    def left_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
+        return self._inv_partials(x, first_order=-0.5)
 
-    def left_jacobian_inv_partial(self, x: np.ndarray, k: int) -> np.ndarray:
-        return self._inv_partials(x, first_order=-0.5, components=(k,))[0]
+    def right_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
+        return self._inv_partials(x, first_order=0.5)
 
-    def right_jacobian_inv_partials(self, x: np.ndarray) -> list[np.ndarray]:
-        return self._inv_partials(x, first_order=0.5, components=range(3))
-
-    def _inv_partials(self, x: np.ndarray, first_order: float,
-                      components) -> list[np.ndarray]:
+    def _inv_partials(self, x: np.ndarray, first_order: float) -> np.ndarray:
         x = np.asarray(x, float)
         theta = np.linalg.norm(x, axis=-1)
         K = self.wedge(x)
@@ -344,13 +349,11 @@ class SO3(MatrixLieGroup):
         safe = np.where(zero, 1.0, theta)
         radial = (self._c_prime(theta) * np.where(zero, 0.0, 1.0 / safe))[..., None, None]
         c = self._c(theta)[..., None, None]
-        out = []
-        for k in components:
-            Ek = self.basis[k]
-            part = radial * x[..., k, None, None] * sq
-            part += c * (Ek @ K + K @ Ek)
-            part += first_order * Ek
-            out.append(part)
+        out = np.empty((3,) + sq.shape)      # filled per k: keeps temporaries small
+        for k, Ek in enumerate(self.basis):
+            out[k] = radial * x[..., k, None, None] * sq
+            out[k] += c * (Ek @ K + K @ Ek)
+            out[k] += first_order * Ek
         return out
 
 
@@ -398,11 +401,11 @@ class DiagonalGroup(MatrixLieGroup):
     left_jacobian_inv = _jac
     right_jacobian_inv = _jac
 
-    def right_jacobian_inv_partial(self, x: np.ndarray, k: int) -> np.ndarray:
+    def right_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
-        return np.zeros(x.shape[:-1] + (self.dim, self.dim))
+        return np.zeros((self.dim,) + x.shape[:-1] + (self.dim, self.dim))
 
-    left_jacobian_inv_partial = right_jacobian_inv_partial
+    left_jacobian_inv_partials = right_jacobian_inv_partials
 
 
 # -- Lie directional derivatives --------------------------------------------
@@ -433,11 +436,9 @@ def expand_log_perturbation(group: MatrixLieGroup, eps: np.ndarray,
     x = np.asarray(x, float)
     jinv = group.left_jacobian_inv(x)
     w = np.einsum("...ij,...j->...i", jinv, eps)
-    out = x - w
-    for k in range(group.dim):
-        part = group.left_jacobian_inv_partial(x, k)
-        out = out + 0.5 * w[..., k, None] * np.einsum("...ij,...j->...i", part, eps)
-    return out
+    parts = group.left_jacobian_inv_partials(x)
+    second = np.einsum("...k,k...ij,...j->...i", w, parts, eps)
+    return x - w + 0.5 * second
 
 
 def bch_truncated(group: MatrixLieGroup, x: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .distribution import ExpectationConfig, expectation_nodes, project_psd, symmetrize
 from .errors import StepRejectedError
 from .groups import MatrixLieGroup
-from .sde import SdeModel
+from .sde import SdeModel, _ito_curvature
 
 _PSD_SLACK = 1e-8
 
@@ -42,55 +42,47 @@ class PropagationConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
-def _velocity_ingredients(group: MatrixLieGroup, state: PropagationState,
-                          model: SdeModel, cfg: PropagationConfig):
-    """Chart nodes and per-node drift/curvature terms shared by both velocities.
+def _velocities(group: MatrixLieGroup, state: PropagationState, model: SdeModel,
+                cfg: PropagationConfig, mean_vel: np.ndarray | None = None):
+    """Mean and covariance velocities ``(v, dcov)`` from one pass over the nodes.
 
-    The diffusion matrix is evaluated once at the current mean and held fixed
-    across the step; the propagation law assumes a constant H, so any time
-    dependence enters only through this per-step evaluation.
+    Nodes, Jacobians, partials and drift are evaluated once and feed both
+    right-hand sides; ``mean_vel`` overrides the mean velocity that the
+    covariance equation recentres by.  The diffusion matrix is evaluated once
+    at the current mean and held fixed across the step; the propagation law
+    assumes a constant H, so any time dependence enters only through this
+    per-step evaluation.
     """
     pts = expectation_nodes(np.zeros(group.dim), state.cov, cfg.expectation)
     big_h = np.asarray(model.diffusion(state.mean, state.t), float)
     hht = big_h @ big_h.T
     jri = group.right_jacobian_inv(pts)
-    curvature = np.zeros_like(pts)
-    for k, part in enumerate(group.right_jacobian_inv_partials(pts)):
-        vk = np.einsum("ij,...j->...i", hht, jri[..., k, :])
-        curvature = curvature + 0.5 * np.einsum("...ij,...j->...i", part, vk)
+    jli = group.left_jacobian_inv(pts)
+    curvature = _ito_curvature(group, pts, jri, hht)
     h_chart = np.asarray(model.drift(state.mean @ group.exp(pts), state.t), float)
     h_chart = np.broadcast_to(h_chart, pts.shape)
     body_drift = np.einsum("...ij,...j->...i", jri, h_chart)
-    return pts, jri, hht, curvature, body_drift
+    if mean_vel is None:
+        mean_vel = np.linalg.solve(jli.mean(axis=0), (curvature + body_drift).mean(axis=0))
+    recenter = np.einsum("...ij,j->...i", jli, mean_vel)
+    lead = curvature - recenter + body_drift
+    outer = lead[..., :, None] * pts[..., None, :]
+    spread = jri @ hht @ np.swapaxes(jri, -1, -2)
+    total = (outer + np.swapaxes(outer, -1, -2) + spread).mean(axis=0)
+    return mean_vel, symmetrize(total)
 
 
 def mean_velocity(group: MatrixLieGroup, state: PropagationState,
                   model: SdeModel, cfg: PropagationConfig) -> np.ndarray:
     """Body-frame velocity of the group mean."""
-    pts, _, _, curvature, body_drift = _velocity_ingredients(group, state, model, cfg)
-    jl_bar = group.left_jacobian_inv(pts).mean(axis=0)
-    return np.linalg.solve(jl_bar, (curvature + body_drift).mean(axis=0))
+    return _velocities(group, state, model, cfg)[0]
 
 
 def covariance_velocity(group: MatrixLieGroup, state: PropagationState,
                         model: SdeModel, mean_vel: np.ndarray,
                         cfg: PropagationConfig) -> np.ndarray:
     """Velocity of the chart covariance, given the mean velocity."""
-    pts, jri, hht, curvature, body_drift = _velocity_ingredients(
-        group, state, model, cfg)
-    recenter = np.einsum("...ij,j->...i", group.left_jacobian_inv(pts), mean_vel)
-    lead = curvature - recenter + body_drift
-    outer = lead[..., :, None] * pts[..., None, :]
-    spread = jri @ hht @ np.swapaxes(jri, -1, -2)
-    total = (outer + np.swapaxes(outer, -1, -2) + spread).mean(axis=0)
-    return symmetrize(total)
-
-
-def _joint_velocity(group, model, cfg, mean, cov, t):
-    state = PropagationState(mean, cov, t)
-    v = mean_velocity(group, state, model, cfg)
-    dcov = covariance_velocity(group, state, model, v, cfg)
-    return v, dcov
+    return _velocities(group, state, model, cfg, mean_vel)[1]
 
 
 def propagate(group: MatrixLieGroup, state0: PropagationState, model: SdeModel,
@@ -113,26 +105,26 @@ def propagate(group: MatrixLieGroup, state0: PropagationState, model: SdeModel,
     cov = symmetrize(np.asarray(state0.cov, float))
     t = state0.t
     traj = [PropagationState(mu.copy(), cov.copy(), t)]
+
+    def velocities(mean, cov, t):
+        return _velocities(group, PropagationState(mean, cov, t), model, cfg)
+
+    def chart_vel(q, body_v):
+        return np.linalg.solve(group.right_jacobian(q), body_v)
+
     for _ in range(steps):
+        v1, s1 = velocities(mu, cov, t)
         if cfg.integrator == "euler":
-            v1, s1 = _joint_velocity(group, model, cfg, mu, cov, t)
             dmu, dcov = v1 * dt, s1 * dt
         else:
-            def chart_vel(q, body_v):
-                return np.linalg.solve(group.right_jacobian(q), body_v)
-
-            v1, s1 = _joint_velocity(group, model, cfg, mu, cov, t)
             q2 = v1 * dt / 2
-            v2, s2 = _joint_velocity(group, model, cfg, mu @ group.exp(q2),
-                                     cov + s1 * dt / 2, t + dt / 2)
+            v2, s2 = velocities(mu @ group.exp(q2), cov + s1 * dt / 2, t + dt / 2)
             l2 = chart_vel(q2, v2)
             q3 = l2 * dt / 2
-            v3, s3 = _joint_velocity(group, model, cfg, mu @ group.exp(q3),
-                                     cov + s2 * dt / 2, t + dt / 2)
+            v3, s3 = velocities(mu @ group.exp(q3), cov + s2 * dt / 2, t + dt / 2)
             l3 = chart_vel(q3, v3)
             q4 = l3 * dt
-            v4, s4 = _joint_velocity(group, model, cfg, mu @ group.exp(q4),
-                                     cov + s3 * dt, t + dt)
+            v4, s4 = velocities(mu @ group.exp(q4), cov + s3 * dt, t + dt)
             l4 = chart_vel(q4, v4)
             dmu = (v1 + 2 * l2 + 2 * l3 + l4) * dt / 6
             dcov = (s1 + 2 * s2 + 2 * s3 + s4) * dt / 6

@@ -158,6 +158,15 @@ def sample_parametric_path(group: MatrixLieGroup, model: ParametricSdeModel,
     return out if store_path else x
 
 
+def _ito_curvature(group: MatrixLieGroup, x: np.ndarray, jri: np.ndarray,
+                  hht: np.ndarray) -> np.ndarray:
+    """Ito curvature term (1/2) sum_k (dJ_r^-1/dx_k) H H^T J_r^-T e_k at chart
+    points x, given jri = J_r^-1(x); one contraction over all k."""
+    parts = group.right_jacobian_inv_partials(x)       # before vk: lower peak memory
+    vk = np.einsum("...ij,...kj->...ki", hht, jri)     # row k: H H^T J_r^-T e_k
+    return 0.5 * np.einsum("k...ij,...kj->...i", parts, vk)
+
+
 def ito_injection_to_parametric(group: MatrixLieGroup, model: SdeModel,
                                 mu: np.ndarray) -> ParametricSdeModel:
     """Chart-form coefficients reproducing an Ito injection SDE around mu.
@@ -175,11 +184,7 @@ def ito_injection_to_parametric(group: MatrixLieGroup, model: SdeModel,
         h = np.asarray(model.drift(g, t), float)
         big = np.asarray(model.diffusion(g, t), float)
         hht = big @ np.swapaxes(big, -1, -2)
-        jri = group.right_jacobian_inv(x)
-        corr = np.zeros(np.broadcast_shapes(x.shape, h.shape))
-        for k, part in enumerate(group.right_jacobian_inv_partials(x)):
-            vk = _mv(hht, jri[..., k, :])          # H H^T (J_r^-T e_k)
-            corr = corr + 0.5 * _mv(part, vk)
+        corr = _ito_curvature(group, x, group.right_jacobian_inv(x), hht)
         return h + _mv(group.right_jacobian(x), corr)
 
     def diffusion(x, t):

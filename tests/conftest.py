@@ -30,6 +30,17 @@ def generic_so3():
     return MatrixLieGroup(basis, name="generic-so3")
 
 
+@pytest.fixture(scope="session")
+def se3():
+    """SE(3) as 4x4 homogeneous matrices, coordinates (rotation, translation),
+    built from its basis so every Jacobian comes from the generic fallbacks."""
+    basis = np.zeros((6, 4, 4))
+    basis[:3, :3, :3] = SO3().basis
+    for i in range(3):
+        basis[3 + i, i, 3] = 1.0
+    return MatrixLieGroup(basis, name="SE(3)")
+
+
 def random_ball(rng, radius, count=1):
     """Uniformly scaled random directions with norms up to ``radius``."""
     v = rng.standard_normal((count, 3))

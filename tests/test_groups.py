@@ -175,6 +175,36 @@ def test_inv_partial_matches_fd_away_from_origin(so3):
         assert np.abs(an_l - fd_l).max() / np.abs(an_l).max() < 1e-6
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_generic_partials_match_fd_on_se3(se3, side):
+    jinv = getattr(se3, f"{side}_jacobian_inv")
+    rng = np.random.default_rng(23)
+    xs = rng.standard_normal((8, 6))
+    xs *= rng.uniform(0.05, 1.0, (8, 1)) / np.linalg.norm(xs, axis=1, keepdims=True)
+    parts = getattr(se3, f"{side}_jacobian_inv_partials")(xs)
+    assert parts.shape == (6, 8, 6, 6)
+    step = 1e-6
+    for k in range(6):
+        e = np.zeros(6)
+        e[k] = step
+        fd = (jinv(xs + e) - jinv(xs - e)) / (2 * step)
+        assert np.abs(parts[k] - fd).max() / np.abs(parts[k]).max() < 1e-6
+
+
+@pytest.mark.parametrize("batch", [(), (12,), (2, 5)])
+def test_generic_partials_match_closed_forms_batched(so3, generic_so3, batch):
+    rng = np.random.default_rng(29)
+    xs = random_ball(rng, 2.0, count=int(np.prod(batch))).reshape(batch + (3,))
+    for side in ("right", "left"):
+        got = getattr(generic_so3, f"{side}_jacobian_inv_partials")(xs)
+        want = getattr(so3, f"{side}_jacobian_inv_partials")(xs)
+        assert got.shape == want.shape == (3,) + batch + (3, 3)
+        for k in range(3):
+            assert np.abs(got[k] - want[k]).max() < 1e-8
+            single = getattr(generic_so3, f"{side}_jacobian_inv_partial")(xs, k)
+            assert np.array_equal(single, got[k])
+
+
 def test_abelian_inv_partial_is_zero(diag3):
     x = np.array([0.4, 0.1, -0.3])
     for k in range(3):

@@ -5,6 +5,7 @@ from liefilter.errors import StepRejectedError
 from liefilter.propagation import (
     PropagationConfig,
     PropagationState,
+    _velocities,
     covariance_velocity,
     export_trajectory_csv,
     mean_velocity,
@@ -72,6 +73,31 @@ def test_abelian_velocities_match_linear_moment_equations(diag3):
     assert np.abs(v - (A @ q + b)).max() < 1e-13
     dcov = covariance_velocity(diag3, state, model, v, cfg)
     assert np.abs(dcov - (A @ cov + cov @ A.T + big_h @ big_h.T)).max() < 1e-13
+
+
+def se3_drift(g, t):
+    angular = nonlinear_so3_drift(g[..., :3, :3], t)
+    return np.concatenate([angular, np.broadcast_to([1.0, 0.0, 0.1], angular.shape)],
+                          axis=-1)
+
+
+@pytest.mark.parametrize("case", ["so3", "se3"])
+def test_single_pass_matches_separate_velocities(request, case):
+    group = request.getfixturevalue(case)
+    dim = group.dim
+    rng = np.random.default_rng(31)
+    drift = nonlinear_so3_drift if case == "so3" else se3_drift
+    big_h = 0.1 * np.eye(dim) + 0.02 * rng.standard_normal((dim, dim))
+    model = SdeModel(drift, const(big_h))
+    root = 0.2 * rng.standard_normal((dim, dim))
+    state = PropagationState(group.exp(0.3 * rng.standard_normal(dim)),
+                             root @ root.T + 0.01 * np.eye(dim), 0.4)
+    cfg = PropagationConfig()
+    v, dcov = _velocities(group, state, model, cfg)
+    v_ref = mean_velocity(group, state, model, cfg)
+    dcov_ref = covariance_velocity(group, state, model, v_ref, cfg)
+    assert np.abs(v - v_ref).max() < 1e-14
+    assert np.abs(dcov - dcov_ref).max() < 1e-14
 
 
 # -- trajectories ------------------------------------------------------------------
