@@ -44,10 +44,10 @@ def symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 def project_psd(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Clamp eigenvalues of a symmetric matrix at ``floor``."""
+    """Clamp eigenvalues of a symmetric matrix, or a stack of them, at ``floor``."""
     sym = symmetrize(np.asarray(mat, float))
     vals, vecs = np.linalg.eigh(sym)
-    return (vecs * np.maximum(vals, floor)) @ np.swapaxes(vecs, -1, -2)
+    return (vecs * np.maximum(vals, floor)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def sqrt_psd(cov: np.ndarray, tol: float = 1e-8) -> np.ndarray:

@@ -117,30 +117,37 @@ def observe_group(rotation: np.ndarray, tau: float, seed) -> np.ndarray:
     return np.asarray(rotation, float) @ _SO3.exp(r)
 
 
-def _draw_truth(rng: np.random.Generator, mu: np.ndarray, root: np.ndarray,
-                group: SO3, max_tries: int = 1000) -> tuple[np.ndarray, int]:
-    """One prior draw, resampling outside the chart domain."""
-    for attempt in range(max_tries):
-        v = root @ rng.standard_normal(3)
-        if group.in_domain(v):
-            return mu @ group.exp(v), attempt
-    raise RejectionOverflowError("prior draw kept leaving the chart domain")
+def _draw_streams(seed: int, tau_idx: int, count: int, root: np.ndarray,
+                  noise_dim: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Prior chart draws (resampled outside the chart domain) and unit
+    observation noise, each sample from its own stream, plus the rejections."""
+    draws, noise, rejected = np.empty((count, 3)), np.empty((count, noise_dim)), 0
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tau_idx, i)))
+        for attempt in range(1000):
+            draws[i] = root @ rng.standard_normal(3)
+            if _SO3.in_domain(draws[i]):
+                break
+        else:
+            raise RejectionOverflowError("prior draw kept leaving the chart domain")
+        rejected += attempt
+        noise[i] = rng.standard_normal(noise_dim)
+    return draws, noise, rejected
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Evaluate plain vs modified fusion over the tau grid.
 
     Both estimators consume the identical observation for each sample, so the
-    cost differences isolate the group-mean correction.  Samples whose fusion
-    or scoring hits a chart-domain singularity are excluded pairwise and
-    counted; the run fails with ExclusionOverflowError if more than 0.1% of
-    all samples are excluded.
+    cost differences isolate the group-mean correction; the samples of one
+    tau are fused as one batch per estimator.  A sample whose innovation or
+    either scoring logarithm leaves the chart domain is excluded pairwise and
+    counted, and a chart-domain error raised by a batched fusion excludes
+    its whole tau.  The run fails with ExclusionOverflowError if more than
+    0.1% of all samples are excluded.
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonConcentratedWarning)
-        prior = build_prior()
-    log.warning("prior covariance spectral norm is 1.0; running the marginal "
-                "stress-test setting anyway")
+    prior = build_prior()
+    mu = prior.mean
     root = sqrt_psd(prior.cov)
     records: list[TrialRecord] = []
     excluded = 0
@@ -149,41 +156,35 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
 
     for tau_idx, tau in enumerate(np.asarray(cfg.tau_grid, float)):
         start = time.perf_counter()
+        shape = EUCLIDEAN_NOISE_SHAPE if cfg.model == "euclidean" else GROUP_NOISE_SHAPE
+        draws, noise, tries = _draw_streams(cfg.seed, tau_idx, cfg.sample_count,
+                                            root, len(shape))
+        rejected_draws += tries
+        truth = mu @ _SO3.exp(draws)
+        noise *= np.sqrt(tau * np.diag(shape))
         if cfg.model == "euclidean":
-            obs_model = ObservationModelEuclidean(
-                measure_euclidean, tau * EUCLIDEAN_NOISE_SHAPE)
+            obs_model = ObservationModelEuclidean(measure_euclidean, tau * shape)
+            fuse, z = fuse_euclidean, measure_euclidean(truth) + noise
+            valid = np.ones(cfg.sample_count, dtype=bool)
         else:
-            obs_model = ObservationModelGroup(_SO3, tau * GROUP_NOISE_SHAPE)
-        err_plain: list[np.ndarray] = []
-        err_mod: list[np.ndarray] = []
-        for i in range(cfg.sample_count):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(cfg.seed, spawn_key=(tau_idx, i)))
-            truth, tries = _draw_truth(rng, prior.mean, root, _SO3)
-            rejected_draws += tries
-            try:
-                if cfg.model == "euclidean":
-                    z = observe_euclidean(truth, tau, rng)
-                    post_mod = fuse_euclidean(_SO3, prior, obs_model, z,
-                                              modified=True)
-                    post_plain = fuse_euclidean(_SO3, prior, obs_model, z,
-                                                modified=False)
-                else:
-                    g_z = observe_group(truth, tau, rng)
-                    post_mod = fuse_group(_SO3, prior, obs_model, g_z,
-                                          modified=True)
-                    post_plain = fuse_group(_SO3, prior, obs_model, g_z,
-                                            modified=False)
-                truth_inv = truth.T
-                err_mod.append(_SO3.log(truth_inv @ post_mod.mean))
-                err_plain.append(_SO3.log(truth_inv @ post_plain.mean))
-            except LieDomainError:
-                excluded += 1
-        e_mod = np.asarray(err_mod).reshape(-1, 3)
-        e_plain = np.asarray(err_plain).reshape(-1, 3)
-        if len(e_mod) == 0:
+            obs_model = ObservationModelGroup(_SO3, tau * shape)
+            fuse, z = fuse_group, truth @ _SO3.exp(noise)
+            # screen the innovation exactly as fuse_group will form it
+            valid = _SO3.log_masked(np.linalg.inv(mu) @ z)[1]
+        truth_inv = np.swapaxes(truth[valid], -1, -2)
+        try:
+            (e_plain, ok_plain), (e_mod, ok_mod) = [
+                _SO3.log_masked(truth_inv @ fuse(_SO3, prior, obs_model, z[valid],
+                                                 modified=flag).mean)
+                for flag in (False, True)]
+            ok = ok_plain & ok_mod
+        except LieDomainError:
+            ok = np.zeros(0, dtype=bool)
+        excluded += cfg.sample_count - int(ok.sum())
+        if not ok.any():
             costs = (float("nan"),) * 4      # every sample excluded
         else:
+            e_plain, e_mod = e_plain[ok], e_mod[ok]
             costs = (float(np.linalg.norm(e_plain.mean(axis=0)) ** 2),
                      float(np.linalg.norm(e_mod.mean(axis=0)) ** 2),
                      float((e_plain * e_plain).sum(axis=-1).mean()),

@@ -133,14 +133,27 @@ def correct_to_group(group: MatrixLieGroup, post: PosteriorCoordinates,
 def _modification(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form correction m' = (I - (1/12) cov_ij ad_i ad_j) m and the
-    matching covariance adjustment sym((1/2) cov_ij ad_i m' e_j^T)."""
+    matching covariance adjustment sym((1/2) cov_ij ad_i m' e_j^T), for
+    chart means ``(..., N)`` sharing one covariance."""
     dim = group.dim
-    ad_basis = np.stack([group.ad(np.eye(dim)[i]) for i in range(dim)])
+    ad_basis = group.ad(np.eye(dim))                       # ad_basis[i] = ad(e_i)
     quad = np.einsum("ij,iab,jbc->ac", cov, ad_basis, ad_basis)
-    m_prime = (np.eye(dim) - quad / 12.0) @ m
-    adm = np.einsum("iab,b->ia", ad_basis, m_prime)        # row i = ad_i m'
-    bump = 0.5 * np.einsum("ij,ia->aj", cov, adm)
-    return m_prime, cov + bump + bump.T
+    m_prime = m @ (np.eye(dim) - quad / 12.0).T
+    adm = np.einsum("iab,...b->...ia", ad_basis, m_prime)  # row i = ad_i m'
+    bump = 0.5 * np.einsum("ij,...ia->...aj", cov, adm)
+    return m_prime, cov + bump + np.swapaxes(bump, -1, -2)
+
+
+def _posterior(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,
+               cov: np.ndarray, modified: bool) -> ConcentratedGaussian:
+    """Map chart means ``(..., N)`` and the shared, already projected chart
+    covariance to the group posterior, with or without the correction."""
+    if modified:
+        m, cov = _modification(group, m, cov)
+        cov = project_psd(cov)
+    else:
+        cov = np.broadcast_to(cov, m.shape[:-1] + cov.shape).copy()
+    return ConcentratedGaussian(mu @ group.exp(m), cov)
 
 
 def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
@@ -153,6 +166,9 @@ def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
     prior mean; the innovation carries the second-order curvature term
     (1/2) P_ij (E_i^r E_j^r k), which is kept in both the modified and the
     plain variant.  Terms quadratic in the prior covariance are dropped.
+    A batch ``z`` of shape ``(..., M)`` shares the prior, the gain and the
+    curvature term, and gives a mean ``(..., n, n)`` and covariance
+    ``(..., N, N)``; ``obs.func`` is only called on single group elements.
     """
     mu = np.asarray(prior.mean, float)
     P = symmetrize(np.asarray(prior.cov, float))
@@ -166,37 +182,23 @@ def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
     C = P @ slopes.T
     K = _solve_gain(S, C)
 
-    bend = np.zeros(z.shape)
-    for i in range(dim):
-        for j in range(dim):
-            bend = bend + P[i, j] * lie_derivative_right_second(
-                group, obs.func, mu, i, j, step)
-    m = K @ (z - np.asarray(obs.func(mu), float) - 0.5 * bend)
-    cov = project_psd(P - K @ S @ K.T)
-
-    if modified:
-        m_prime, cov_m = _modification(group, m, cov)
-    else:
-        m_prime, cov_m = m, cov
-    return ConcentratedGaussian(mu @ group.exp(m_prime), project_psd(cov_m))
+    bend = sum(P[i, j] * lie_derivative_right_second(group, obs.func, mu, i, j, step)
+               for i in range(dim) for j in range(dim))
+    m = (z - np.asarray(obs.func(mu), float) - 0.5 * bend) @ K.T
+    return _posterior(group, mu, m, project_psd(P - K @ S @ K.T), modified)
 
 
 def fuse_group(group: MatrixLieGroup, prior: ConcentratedGaussian,
                obs: ObservationModelGroup, g_z: np.ndarray,
                modified: bool = True) -> ConcentratedGaussian:
-    """Closed-form update for a full-state observation on the same group."""
+    """Closed-form update for a full-state observation on the same group;
+    a batch ``g_z`` of shape ``(..., n, n)`` shares the prior and the gain."""
     mu = np.asarray(prior.mean, float)
     P = symmetrize(np.asarray(prior.cov, float))
     R = symmetrize(np.asarray(obs.noise_cov, float))
     y = group.log(np.linalg.inv(mu) @ np.asarray(g_z, float))
     gain = np.linalg.solve((P + R).T, P.T).T               # P (P+R)^-1
-    m = gain @ y
-    cov = project_psd(P - gain @ P)
-    if modified:
-        m_prime, cov_m = _modification(group, m, cov)
-    else:
-        m_prime, cov_m = m, cov
-    return ConcentratedGaussian(mu @ group.exp(m_prime), project_psd(cov_m))
+    return _posterior(group, mu, y @ gain.T, project_psd(P - gain @ P), modified)
 
 
 def cost_c1(group: MatrixLieGroup, truths: np.ndarray,

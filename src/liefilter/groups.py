@@ -262,11 +262,18 @@ class SO3(MatrixLieGroup):
         return out
 
     def log(self, g: np.ndarray) -> np.ndarray:
+        x, ok = self.log_masked(g)
+        if not np.all(ok):
+            raise LieDomainError("rotation angle within 1e-9 of pi; logarithm singular")
+        return x
+
+    def log_masked(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(log(g), ok)``, where ``ok`` is false and the row NaN for the
+        elements whose rotation angle lies within 1e-9 of pi."""
         g = np.asarray(g, float)
         trace = np.trace(g, axis1=-2, axis2=-1)
         theta = np.arccos(np.clip((trace - 1) / 2, -1.0, 1.0))
-        if np.any(theta > _LOG_SINGULARITY):
-            raise LieDomainError("rotation angle within 1e-9 of pi; logarithm singular")
+        ok = ~(theta > _LOG_SINGULARITY)
         w = np.stack([g[..., 2, 1] - g[..., 1, 2],
                       g[..., 0, 2] - g[..., 2, 0],
                       g[..., 1, 0] - g[..., 0, 1]], axis=-1)
@@ -274,7 +281,7 @@ class SO3(MatrixLieGroup):
         safe = np.where(small, 1.0, theta)
         coef = np.where(small, 0.5 * (1 + theta**2 / 6 + 7 * theta**4 / 360),
                         safe / (2 * np.sin(safe)))
-        return coef[..., None] * w
+        return np.where(ok[..., None], coef[..., None] * w, np.nan), ok
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         return self.wedge(x)

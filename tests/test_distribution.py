@@ -9,6 +9,7 @@ from liefilter.distribution import (
     expect,
     fit_mean_covariance,
     frechet_mean,
+    project_psd,
     sample,
     sqrt_psd,
 )
@@ -53,6 +54,19 @@ def test_expect_cubature_close_to_monte_carlo(so3):
     mc = expect(so3.left_jacobian_inv, np.zeros(3), cov,
                 ExpectationConfig(method="monte-carlo", sample_count=10**6, seed=0))
     assert np.abs(cub - mc).max() < 1e-3
+
+
+def test_project_psd_stack_equals_per_matrix_loop():
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal((2, 5, 4, 4))
+    mats = w + np.swapaxes(w, -1, -2)                   # symmetric, indefinite
+    for floor in (0.0, 0.3):
+        stacked = project_psd(mats, floor)
+        assert stacked.shape == mats.shape
+        for idx in np.ndindex(2, 5):
+            single = project_psd(mats[idx], floor)
+            assert np.abs(stacked[idx] - single).max() <= 1e-14
+            assert np.linalg.eigvalsh(single).min() >= floor - 1e-12
 
 
 def test_sqrt_psd_rejects_indefinite():

@@ -1,9 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 
+from liefilter import experiments
 from liefilter.cli import main
+from liefilter.distribution import sqrt_psd
 from liefilter.errors import NonConcentratedWarning
 from liefilter.experiments import (
+    GROUP_NOISE_SHAPE,
     ExperimentConfig,
     build_prior,
     default_tau_grid,
@@ -15,6 +20,7 @@ from liefilter.experiments import (
     run_sweep,
     TrialRecord,
 )
+from liefilter.fusion import ObservationModelGroup, fuse_group
 
 
 # -- prior ------------------------------------------------------------------------
@@ -101,6 +107,61 @@ def test_sweep_smoke_and_determinism(model):
             (b.c1_plain, b.c1_modified, b.c2_plain, b.c2_modified)
         assert min(a.c1_plain, a.c1_modified, a.c2_plain, a.c2_modified) >= 0
         assert a.wall_time >= 0
+
+
+def _per_sample_group_sweep(so3, seed, taus, count):
+    """Reference for run_sweep: per-sample streams and single-observation
+    public calls.  Returns the truths and the plain and corrected chart
+    errors, each of shape (len(taus), count, ...)."""
+    with pytest.warns(NonConcentratedWarning):
+        prior = build_prior()
+    root = sqrt_psd(prior.cov)
+    truths, errors = [], []
+    for j, tau in enumerate(taus):
+        obs = ObservationModelGroup(so3, tau * GROUP_NOISE_SHAPE)
+        for i in range(count):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j, i)))
+            v = root @ rng.standard_normal(3)
+            while not so3.in_domain(v):
+                v = root @ rng.standard_normal(3)
+            truth = prior.mean @ so3.exp(v)
+            g_z = observe_group(truth, tau, rng)
+            truths.append(truth)
+            errors.append([so3.log(truth.T @ fuse_group(so3, prior, obs, g_z, modified=flag).mean)
+                           for flag in (False, True)])
+    shape = (len(taus), count)
+    errors = np.asarray(errors).reshape(shape + (2, 3))
+    return np.asarray(truths).reshape(shape + (3, 3)), errors[..., 0, :], errors[..., 1, :]
+
+
+def test_sweep_excludes_a_failed_scoring_pairwise(so3, monkeypatch, caplog):
+    """One posterior per tau lands at angle pi from its truth, the plain one
+    at the first tau and the corrected one at the second: that sample leaves
+    both costs of its tau and is counted, the rest is kept."""
+    seed, count = 13, 1200
+    taus = np.array([1e-2, 1e-1])
+    truths, e_plain, e_mod = _per_sample_group_sweep(so3, seed, taus, count)
+    half_turn = np.diag([1.0, -1.0, -1.0])
+
+    def first_sample_flipped(group, prior, obs, g_z, modified=True):
+        post = fuse_group(group, prior, obs, g_z, modified=modified)
+        j = int(np.argmin(np.abs(taus * GROUP_NOISE_SHAPE[0, 0] - obs.noise_cov[0, 0])))
+        if modified == (j == 1):
+            post.mean[0] = truths[j, 0] @ half_turn
+        return post
+
+    monkeypatch.setattr(experiments, "fuse_group", first_sample_flipped)
+    cfg = ExperimentConfig(model="group", sample_count=count, tau_grid=taus, seed=seed)
+    with caplog.at_level(logging.WARNING, logger=experiments.__name__), \
+            pytest.warns(NonConcentratedWarning):
+        records = run_sweep(cfg)
+    assert "2/2400 samples excluded by chart-domain errors" in caplog.text
+    for j, rec in enumerate(records):
+        plain, mod = e_plain[j, 1:], e_mod[j, 1:]
+        want = (np.linalg.norm(plain.mean(axis=0)) ** 2, np.linalg.norm(mod.mean(axis=0)) ** 2,
+                (plain * plain).sum(axis=-1).mean(), (mod * mod).sum(axis=-1).mean())
+        got = (rec.c1_plain, rec.c1_modified, rec.c2_plain, rec.c2_modified)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 
 # -- CSV / gnuplot emission ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from liefilter.distribution import ConcentratedGaussian
 from liefilter.fusion import (
@@ -329,3 +330,30 @@ def test_costs_increase_when_estimates_perturbed(so3):
     bump = so3.exp(np.array([0.0, 0.3, 0.0]))
     assert cost_c2(so3, truths, estimates) < cost_c2(so3, truths, estimates @ bump)
     assert cost_c1(so3, truths, estimates) < cost_c1(so3, truths, estimates @ bump)
+
+
+# -- batched observations ------------------------------------------------------------
+
+@pytest.mark.parametrize("batch", [(12,), (2, 5)])
+@pytest.mark.parametrize("modified", [True, False])
+@pytest.mark.parametrize("model", ["euclidean", "group"])
+def test_fuse_batch_matches_per_observation_calls(so3, model, modified, batch):
+    rng = np.random.default_rng(5)
+    mu = so3.exp(np.array([0.4, -0.3, 0.2]))
+    prior = ConcentratedGaussian(mu, np.diag([0.05, 0.08, 0.03]))
+    truths = mu @ so3.exp(0.3 * rng.standard_normal(batch + (3,)))
+    if model == "euclidean":
+        obs = ObservationModelEuclidean(measure_euclidean, 0.01 * np.eye(6))
+        z = measure_euclidean(truths) + 0.1 * rng.standard_normal(batch + (6,))
+        fuse = fuse_euclidean
+    else:
+        obs = ObservationModelGroup(so3, 0.02 * np.eye(3))
+        z = truths @ so3.exp(0.1 * rng.standard_normal(batch + (3,)))
+        fuse = fuse_group
+    post = fuse(so3, prior, obs, z, modified=modified)
+    assert post.mean.shape == batch + (3, 3)
+    assert post.cov.shape == batch + (3, 3)
+    for idx in np.ndindex(*batch):
+        single = fuse(so3, prior, obs, z[idx], modified=modified)
+        assert np.abs(post.mean[idx] - single.mean).max() <= 1e-14
+        assert np.abs(post.cov[idx] - single.cov).max() <= 1e-14

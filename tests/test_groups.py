@@ -66,6 +66,21 @@ def test_log_raises_near_antipode(so3):
         so3.log(g)
 
 
+def test_log_masked_marks_only_the_failing_element(so3):
+    rng = np.random.default_rng(3)
+    g = so3.exp(random_ball(rng, np.pi - 0.1, count=6))
+    g[2] = so3.exp((np.pi - 1e-10) * np.array([0.0, 0.6, 0.8]))
+    x, ok = so3.log_masked(g)
+    assert ok.tolist() == [True, True, False, True, True, True]
+    assert np.isnan(x[2]).all()
+    keep = np.delete(np.arange(6), 2)
+    assert np.array_equal(x[keep], so3.log(g[keep]))
+    for i in keep:
+        assert np.array_equal(x[i], so3.log(g[i]))
+    with pytest.raises(LieDomainError):
+        so3.log(g)
+
+
 def test_roundtrip_property_over_domain(so3):
     rng = np.random.default_rng(7)
     xs = random_ball(rng, np.pi - 0.1, count=200)
