@@ -28,7 +28,6 @@ from .fusion import (
     ObservationModelEuclidean,
     ObservationModelGroup,
     PosteriorCoordinates,
-    correct_to_group,
     cost_c1,
     cost_c2,
     fuse_euclidean,

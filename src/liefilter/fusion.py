@@ -28,7 +28,6 @@ from .distribution import (
     ConcentratedGaussian,
     ExpectationConfig,
     expectation_nodes,
-    fit_mean_covariance,
     project_psd,
     symmetrize,
 )
@@ -87,7 +86,8 @@ def gaussian_update_general(group: MatrixLieGroup,
 
     Expectations run over the product Gaussian N(x|0, P) N(r|0, R) in
     dimension N+M; the observation map must broadcast over stacked group
-    elements.
+    elements.  ``fit_mean_covariance(group, post.m, post.cov, prior.mean)``
+    maps the result to the group.
     """
     cfg = cfg or ExpectationConfig()
     P = symmetrize(np.asarray(prior.cov, float))
@@ -121,13 +121,6 @@ def gaussian_update_general(group: MatrixLieGroup,
     m = K @ (innovation - predicted)
     cov = project_psd(P - K @ S @ K.T)
     return PosteriorCoordinates(m, cov, predicted, S, C, K)
-
-
-def correct_to_group(group: MatrixLieGroup, post: PosteriorCoordinates,
-                     mu: np.ndarray, cfg: ExpectationConfig | None = None
-                     ) -> ConcentratedGaussian:
-    """Project a chart posterior to group mean and covariance."""
-    return fit_mean_covariance(group, post.m, post.cov, mu, cfg)
 
 
 def _modification(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray

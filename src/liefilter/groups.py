@@ -12,14 +12,25 @@ Two concrete descriptors are provided:
   (an exact embedding of R^N), useful as an oracle where every curvature
   correction vanishes.
 
+Jacobians are one-sided: a descriptor supplies ``left_jacobian``,
+``left_jacobian_inv`` and ``left_jacobian_inv_partials``, and
+:class:`MatrixLieGroup` derives the right side for every group from the exact
+identities
+
+    J_r(x) = J_l(-x),
+    J_r^-1(x) = J_l^-1(-x) = J_l^-1(x) + ad(x),
+    dJ_r^-1/dx_k (x) = -dJ_l^-1/dx_k (-x),
+
+which hold because the Bernoulli series of J_l^-1 has no odd terms after
+B_1 = -1/2 (Sola et al., arXiv 1812.01537).
+
 Anything else can subclass :class:`MatrixLieGroup` and inherit power-series
-fallbacks for the exponential, the adjoint machinery, and the four coordinate
-Jacobians (truncated at 20 terms of the ``ad`` series).  The partial
-derivatives of the inverse Jacobians differentiate that truncated series
-termwise, for every component at once: with A = ad(x) and
-S_k = ad(e_k) = dA/dx_k, the derivatives D_m = d(A^m)/dx_k obey
-D_1 = S_k and D_m = D_{m-1} A + A^{m-1} S_k, one batched recurrence over
-the 19 powers for all k together.
+fallbacks for the exponential, the adjoint machinery, and the left Jacobians
+(truncated at 20 terms of the ``ad`` series).  The partial derivatives of the
+inverse Jacobian differentiate that truncated series termwise, for every
+component at once: with A = ad(x) and S_k = ad(e_k) = dA/dx_k, the derivatives
+D_m = d(A^m)/dx_k obey D_1 = S_k and D_m = D_{m-1} A + A^{m-1} S_k, one
+batched recurrence over the 19 powers for all k together.
 
 All operations are pure functions of their inputs and safe to call from
 concurrent threads; the only internal state is a cache of one-parameter
@@ -58,6 +69,12 @@ _J_COEF = np.array([1.0 / factorial(k + 1) for k in range(_SERIES_TERMS)])
 
 class MatrixLieGroup:
     """Descriptor for an N-dimensional unimodular matrix Lie group.
+
+    Subclasses override the left Jacobians only (``left_jacobian``,
+    ``left_jacobian_inv`` and ``left_jacobian_inv_partials``, the last
+    returning a new array); the right ones follow here from
+    J_r(x) = J_l(-x), J_r^-1(x) = J_l^-1(-x) = J_l^-1(x) + ad(x) and
+    dJ_r^-1/dx_k (x) = -dJ_l^-1/dx_k (-x).
 
     Parameters
     ----------
@@ -149,22 +166,10 @@ class MatrixLieGroup:
         J = np.einsum("k,k...->...", _J_COEF, P)
         return self._checked(J)
 
-    def right_jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.left_jacobian(-np.asarray(x, float))
-
     def left_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
         P = self._ad_powers(x)
         J = np.einsum("k,k...->...", _B_COEF, P)
         return self._checked(J)
-
-    def right_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
-        return self.left_jacobian_inv(-np.asarray(x, float))
-
-    def left_jacobian_inv_partial(self, x: np.ndarray, k: int) -> np.ndarray:
-        return self.left_jacobian_inv_partials(x)[k]
-
-    def right_jacobian_inv_partial(self, x: np.ndarray, k: int) -> np.ndarray:
-        return self.right_jacobian_inv_partials(x)[k]
 
     def left_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
         """All dim partial derivatives dJ_l^-1/dx_k, shape (dim, ..., N, N),
@@ -180,14 +185,19 @@ class MatrixLieGroup:
             out = out + _B_COEF[m] * deriv
         return out
 
-    def right_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
-        """All dim partial derivatives dJ_r^-1/dx_k, shape (dim, ..., N, N).
+    # -- right Jacobians, derived from the left ones for every group ----------
+    def right_jacobian(self, x: np.ndarray) -> np.ndarray:
+        return self.left_jacobian(np.negative(x, dtype=float))
 
-        Termwise derivative of the 20-term series of J_r^-1(x) = J_l^-1(-x):
-        the recurrence D_m = D_{m-1} A + A^{m-1} ad(e_k) runs for every k at
-        once at -x, 19 batched steps, and the result takes one sign flip.
-        """
-        return -self.left_jacobian_inv_partials(-np.asarray(x, float))
+    def right_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
+        return self.left_jacobian_inv(np.negative(x, dtype=float))
+
+    def right_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
+        """All dim partial derivatives dJ_r^-1/dx_k, shape (dim, ..., N, N),
+        negated in place from the left partials at -x (as 0 - p, so that
+        zeros stay +0)."""
+        parts = self.left_jacobian_inv_partials(np.negative(x, dtype=float))
+        return np.subtract(0.0, parts, out=parts)
 
     def _checked(self, J: np.ndarray) -> np.ndarray:
         det = np.linalg.det(J)
@@ -323,31 +333,16 @@ class SO3(MatrixLieGroup):
         out[..., idx, idx] += 1.0
         return out
 
-    def right_jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.left_jacobian(-np.asarray(x, float))
-
-    def _jacobian_inv(self, x: np.ndarray, sign: float) -> np.ndarray:
+    def left_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
         theta = np.linalg.norm(x, axis=-1)
-        out = (sign * 0.5) * self.wedge(x)
+        out = -0.5 * self.wedge(x)
         out += self._c(theta)[..., None, None] * self._square_of_wedge(x)
         idx = np.arange(3)
         out[..., idx, idx] += 1.0
         return out
 
-    def left_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
-        return self._jacobian_inv(x, -1.0)
-
-    def right_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
-        return self._jacobian_inv(x, 1.0)
-
     def left_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
-        return self._inv_partials(x, first_order=-0.5)
-
-    def right_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
-        return self._inv_partials(x, first_order=0.5)
-
-    def _inv_partials(self, x: np.ndarray, first_order: float) -> np.ndarray:
         x = np.asarray(x, float)
         theta = np.linalg.norm(x, axis=-1)
         K = self.wedge(x)
@@ -360,7 +355,7 @@ class SO3(MatrixLieGroup):
         for k, Ek in enumerate(self.basis):
             out[k] = radial * x[..., k, None, None] * sq
             out[k] += c * (Ek @ K + K @ Ek)
-            out[k] += first_order * Ek
+            out[k] -= 0.5 * Ek
         return out
 
 
@@ -404,15 +399,11 @@ class DiagonalGroup(MatrixLieGroup):
         return np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim)).copy()
 
     left_jacobian = _jac
-    right_jacobian = _jac
     left_jacobian_inv = _jac
-    right_jacobian_inv = _jac
 
-    def right_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
+    def left_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
         return np.zeros((self.dim,) + x.shape[:-1] + (self.dim, self.dim))
-
-    left_jacobian_inv_partials = right_jacobian_inv_partials
 
 
 # -- Lie directional derivatives --------------------------------------------

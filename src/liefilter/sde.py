@@ -184,6 +184,7 @@ def ito_injection_to_parametric(group: MatrixLieGroup, model: SdeModel,
         h = np.asarray(model.drift(g, t), float)
         big = np.asarray(model.diffusion(g, t), float)
         hht = big @ np.swapaxes(big, -1, -2)
+        del g, big                 # freed before the partials: lower peak memory
         corr = _ito_curvature(group, x, group.right_jacobian_inv(x), hht)
         return h + _mv(group.right_jacobian(x), corr)
 
@@ -241,7 +242,9 @@ def parametric_stratonovich_to_ito(group: MatrixLieGroup,
     """Euclidean Stratonovich-to-Ito correction applied to the chart SDE.
 
     Works on the effective coefficients A = J_r^-1 h~, B = J_r^-1 H~ of the
-    coordinate process; single chart points only.
+    coordinate process, over any leading batch axes of the chart points; the
+    derivatives of B along the dim coordinate axes are central differences
+    evaluated in one call on a leading axis of shifted points.
     """
     if model.interpretation != STRATONOVICH:
         raise ValueError("parametric_stratonovich_to_ito requires a "
@@ -253,17 +256,11 @@ def parametric_stratonovich_to_ito(group: MatrixLieGroup,
 
     def drift(x, t):
         x = np.asarray(x, float)
-        if x.ndim != 1:
-            return np.stack([drift(row, t) for row in x.reshape(-1, dim)]
-                            ).reshape(x.shape)
-        a = group.right_jacobian_inv(x) @ np.asarray(model.drift(x, t), float)
+        a = _mv(group.right_jacobian_inv(x), np.asarray(model.drift(x, t), float))
         b = eff_diffusion(x, t)
-        corr = np.zeros(dim)
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = step
-            db = (eff_diffusion(x + e, t) - eff_diffusion(x - e, t)) / (2 * step)
-            corr += 0.5 * db @ b[j, :]
-        return group.right_jacobian(x) @ (a + corr)
+        shifts = step * np.eye(dim).reshape((dim,) + (1,) * (x.ndim - 1) + (dim,))
+        db = (eff_diffusion(x + shifts, t) - eff_diffusion(x - shifts, t)) / (2 * step)
+        corr = 0.5 * np.einsum("j...il,...jl->...i", db, b)   # db[j] = dB/dx_j
+        return _mv(group.right_jacobian(x), a + corr)
 
     return ParametricSdeModel(model.base, drift, model.diffusion, ITO)

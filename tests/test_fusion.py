@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from liefilter.distribution import ConcentratedGaussian
+from liefilter.distribution import ConcentratedGaussian, fit_mean_covariance
 from liefilter.fusion import (
     ObservationModelEuclidean,
     ObservationModelGroup,
-    correct_to_group,
     cost_c1,
     cost_c2,
     fuse_euclidean,
@@ -94,7 +93,7 @@ def test_correct_to_group_zero_mean_is_identity(so3):
     prior = ConcentratedGaussian(mu, 0.04 * np.eye(3))
     obs = ObservationModelGroup(so3, 0.04 * np.eye(3))
     post = gaussian_update_general(so3, prior, obs, mu)
-    out = correct_to_group(so3, post, mu)
+    out = fit_mean_covariance(so3, post.m, post.cov, mu)
     assert np.linalg.norm(so3.log(np.linalg.inv(mu) @ out.mean)) < 1e-9
     assert np.abs(out.cov - post.cov).max() < 1e-9
 
@@ -105,7 +104,7 @@ def test_correct_to_group_abelian(diag3):
     cov = np.diag([0.03, 0.02, 0.04])
     post = PosteriorCoordinates(m, cov, np.zeros(3), np.eye(3), np.eye(3), np.eye(3))
     mu = diag3.exp(np.array([0.5, 0.5, 0.5]))
-    out = correct_to_group(diag3, post, mu)
+    out = fit_mean_covariance(diag3, post.m, post.cov, mu)
     assert np.abs(out.mean - mu @ diag3.exp(m)).max() < 1e-14
     assert np.abs(out.cov - cov).max() < 1e-15
 
@@ -116,7 +115,7 @@ def test_correct_to_group_matches_bracket_closed_form(so3):
     cov = 0.02 * np.eye(3)
     post = PosteriorCoordinates(m, cov, np.zeros(3), np.eye(3), np.eye(3), np.eye(3))
     mu = np.eye(3)
-    out = correct_to_group(so3, post, mu)
+    out = fit_mean_covariance(so3, post.m, post.cov, mu)
     ad = so3_ad_matrices()
     quad = sum(cov[i, j] * ad[i] @ ad[j] for i in range(3) for j in range(3))
     m_prime_ref = (np.eye(3) - quad / 12.0) @ m
@@ -166,7 +165,7 @@ def test_fuse_euclidean_consistent_with_general_path(so3):
         prior = ConcentratedGaussian(mu, scale * np.eye(3))
         closed = fuse_euclidean(so3, prior, obs, z, modified=True)
         post = gaussian_update_general(so3, prior, obs, z)
-        general = correct_to_group(so3, post, mu)
+        general = fit_mean_covariance(so3, post.m, post.cov, mu)
         return (np.linalg.norm(so3.log(np.linalg.inv(general.mean) @ closed.mean))
                 + np.linalg.norm(general.cov - closed.cov))
 
@@ -262,7 +261,7 @@ def test_fuse_group_consistent_with_general_path(so3):
         g_z = mu @ so3.exp(y)
         closed = fuse_group(so3, prior, obs, g_z)
         post = gaussian_update_general(so3, prior, obs, g_z)
-        general = correct_to_group(so3, post, mu)
+        general = fit_mean_covariance(so3, post.m, post.cov, mu)
         return (np.linalg.norm(so3.log(np.linalg.inv(general.mean) @ closed.mean))
                 + np.linalg.norm(general.cov - closed.cov))
 

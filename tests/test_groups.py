@@ -149,13 +149,11 @@ def test_generic_series_matches_closed_forms(so3, generic_so3):
     for x in random_ball(rng, 2.0, count=10):
         assert np.abs(generic_so3.left_jacobian(x) - so3.left_jacobian(x)).max() < 1e-8
         assert np.abs(generic_so3.right_jacobian_inv(x) - so3.right_jacobian_inv(x)).max() < 1e-8
-        for k in range(3):
-            diff = generic_so3.right_jacobian_inv_partial(x, k) \
-                - so3.right_jacobian_inv_partial(x, k)
-            assert np.abs(diff).max() < 1e-8
+        diff = generic_so3.right_jacobian_inv_partials(x) - so3.right_jacobian_inv_partials(x)
+        assert np.abs(diff).max() < 1e-8
 
 
-def test_jacobian_identities(so3):
+def test_jacobian_identities(so3, generic_so3, se3, diag3):
     rng = np.random.default_rng(13)
     for x in random_ball(rng, np.pi - 0.1, count=50):
         jl, jr = so3.left_jacobian(x), so3.right_jacobian(x)
@@ -163,6 +161,15 @@ def test_jacobian_identities(so3):
         assert np.abs(jr - so3.left_jacobian(-x)).max() < 1e-10
         assert abs(abs(np.linalg.det(jl)) - abs(np.linalg.det(jr))) < 1e-10
         assert np.abs(so3.left_jacobian_inv(x) @ jl - np.eye(3)).max() < 1e-10
+    # The base class derives J_r^-1 at -x; propagation uses J_l^-1(x) + ad(x).
+    # The generic inverse is the 20-term series, whose truncation error
+    # ~(|x| / 2 pi)^20 reaches about 5e-10 at |x| = 2.
+    for group, inv_tol in ((so3, 1e-12), (diag3, 1e-12), (generic_so3, 1e-9), (se3, 1e-9)):
+        xs = rng.standard_normal((2, 5, group.dim))
+        xs *= 2.0 * rng.uniform(0.05, 1.0, (2, 5, 1)) / np.linalg.norm(xs, axis=-1, keepdims=True)
+        jri = group.right_jacobian_inv(xs)
+        assert np.abs(jri @ group.right_jacobian(xs) - np.eye(group.dim)).max() < inv_tol
+        assert np.abs(jri - group.left_jacobian_inv(xs) - group.ad(xs)).max() < 1e-12
 
 
 # -- partial derivatives of the inverse Jacobians ------------------------------
@@ -173,7 +180,7 @@ def test_inv_partial_at_origin_matches_fd(so3):
         e = np.zeros(3)
         e[k] = step
         fd = (so3.right_jacobian_inv(e) - so3.right_jacobian_inv(-e)) / (2 * step)
-        assert np.abs(so3.right_jacobian_inv_partial(np.zeros(3), k) - fd).max() < 1e-8
+        assert np.abs(so3.right_jacobian_inv_partials(np.zeros(3))[k] - fd).max() < 1e-8
 
 
 def test_inv_partial_matches_fd_away_from_origin(so3):
@@ -183,10 +190,10 @@ def test_inv_partial_matches_fd_away_from_origin(so3):
         e = np.zeros(3)
         e[k] = step
         fd_r = (so3.right_jacobian_inv(x + e) - so3.right_jacobian_inv(x - e)) / (2 * step)
-        an_r = so3.right_jacobian_inv_partial(x, k)
+        an_r = so3.right_jacobian_inv_partials(x)[k]
         assert np.abs(an_r - fd_r).max() / np.abs(an_r).max() < 1e-6
         fd_l = (so3.left_jacobian_inv(x + e) - so3.left_jacobian_inv(x - e)) / (2 * step)
-        an_l = so3.left_jacobian_inv_partial(x, k)
+        an_l = so3.left_jacobian_inv_partials(x)[k]
         assert np.abs(an_l - fd_l).max() / np.abs(an_l).max() < 1e-6
 
 
@@ -216,14 +223,12 @@ def test_generic_partials_match_closed_forms_batched(so3, generic_so3, batch):
         assert got.shape == want.shape == (3,) + batch + (3, 3)
         for k in range(3):
             assert np.abs(got[k] - want[k]).max() < 1e-8
-            single = getattr(generic_so3, f"{side}_jacobian_inv_partial")(xs, k)
-            assert np.array_equal(single, got[k])
 
 
 def test_abelian_inv_partial_is_zero(diag3):
     x = np.array([0.4, 0.1, -0.3])
     for k in range(3):
-        assert np.array_equal(diag3.right_jacobian_inv_partial(x, k), np.zeros((3, 3)))
+        assert np.array_equal(diag3.right_jacobian_inv_partials(x)[k], np.zeros((3, 3)))
 
 
 # -- ad operator ---------------------------------------------------------------

@@ -280,6 +280,18 @@ def test_conversion_diagram_exact_without_noise(so3):
     assert np.abs(via_injection.drift(x, 0.0) - via_chart.drift(x, 0.0)).max() < 1e-12
 
 
+def test_parametric_stratonovich_to_ito_batched_matches_rows(so3):
+    model = _state_dependent_strat_model(so3)
+    mu = so3.exp(np.array([0.3, 0.3, -0.2]))
+    via_chart = parametric_stratonovich_to_ito(
+        so3, stratonovich_injection_to_parametric(so3, model, mu))
+    xs = 0.4 * np.random.default_rng(37).standard_normal((12, 3))
+    batched = via_chart.drift(xs, 0.0)
+    rows = np.stack([via_chart.drift(x, 0.0) for x in xs])
+    assert batched.shape == (12, 3)
+    assert np.abs(batched - rows).max() < 1e-12
+
+
 # -- paired statistical equivalence (state-dependent coefficients) -------------------
 
 def _paired_stats(so3, logs_a, logs_b, paths):
