@@ -7,7 +7,9 @@ matrices and vice versa.
 
 Two concrete descriptors are provided:
 
-* :class:`SO3` with closed-form Rodrigues/Jacobian expressions, and
+* :class:`SO3` with closed-form Rodrigues/Jacobian expressions, evaluated
+  entry by entry from x yet bitwise equal to the ``wedge``/K^2 matrix form
+  (near-pi exclusion decisions depend on the last bit), and
 * :class:`DiagonalGroup`, the commutative group of positive diagonal matrices
   (an exact embedding of R^N), useful as an oracle where every curvature
   correction vanishes.
@@ -72,9 +74,8 @@ class MatrixLieGroup:
 
     Subclasses override the left Jacobians only (``left_jacobian``,
     ``left_jacobian_inv`` and ``left_jacobian_inv_partials``, the last
-    returning a new array); the right ones follow here from
-    J_r(x) = J_l(-x), J_r^-1(x) = J_l^-1(-x) = J_l^-1(x) + ad(x) and
-    dJ_r^-1/dx_k (x) = -dJ_l^-1/dx_k (-x).
+    returning a new array); the right ones follow here from the identities
+    of the module docstring.
 
     Parameters
     ----------
@@ -118,8 +119,7 @@ class MatrixLieGroup:
 
     def in_domain(self, x: np.ndarray) -> np.ndarray:
         """Predicate for the chart domain of exponential coordinates."""
-        x = np.asarray(x, float)
-        return np.ones(x.shape[:-1], dtype=bool)
+        return np.ones(np.shape(x)[:-1], dtype=bool)
 
     # -- exponential chart -------------------------------------------------
     def exp(self, x: np.ndarray) -> np.ndarray:
@@ -162,14 +162,10 @@ class MatrixLieGroup:
         return powers
 
     def left_jacobian(self, x: np.ndarray) -> np.ndarray:
-        P = self._ad_powers(x)
-        J = np.einsum("k,k...->...", _J_COEF, P)
-        return self._checked(J)
+        return self._checked(np.einsum("k,k...->...", _J_COEF, self._ad_powers(x)))
 
     def left_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
-        P = self._ad_powers(x)
-        J = np.einsum("k,k...->...", _B_COEF, P)
-        return self._checked(J)
+        return self._checked(np.einsum("k,k...->...", _B_COEF, self._ad_powers(x)))
 
     def left_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
         """All dim partial derivatives dJ_l^-1/dx_k, shape (dim, ..., N, N),
@@ -215,30 +211,71 @@ class MatrixLieGroup:
         return self._stencils[key]
 
 
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))     # (k, i, j): SO(3) K_ij = -x_k, E_k[i, j] = -1
+
+
+def _polar(x: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Components of 3-vectors (views, scalars for a single vector), |x|^2
+    summed in the order of ``np.linalg.norm``, and |x|."""
+    x = np.asarray(x, float)
+    xs = tuple(x.transpose(-1, *range(x.ndim - 1)))
+    t2 = xs[0] * xs[0] + xs[1] * xs[1] + xs[2] * xs[2]
+    return xs, t2, np.sqrt(t2)
+
+
+def _rodrigues_form(xs: tuple, t2: np.ndarray, a, b: np.ndarray) -> np.ndarray:
+    """I + a K + b K^2 for K = wedge(x), K^2 = x x^T - t2 I: entry (i, j) is
+    a*K_ij + b*(x_i x_j), and b*(x_i x_i - t2) + 1 on the diagonal."""
+    out = np.empty(np.shape(t2) + (3, 3))
+    for i, xi in enumerate(xs):
+        np.add(b * (xi * xi - t2), 1.0, out=out[..., i, i])
+    for k, i, j in _CYCLIC:
+        sym, skew = b * (xs[i] * xs[j]), a * xs[k]
+        np.subtract(sym, skew, out=out[..., i, j])
+        np.add(sym, skew, out=out[..., j, i])
+    return out
+
+
+def _jinv_coef(theta: np.ndarray) -> np.ndarray:
+    """c(|x|), the coefficient of K^2 in both inverse Jacobians."""
+    small = theta < _SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    return np.where(small, 1 / 12 + theta**2 / 720 + theta**4 / 30240,
+                    1 / safe**2 - (1 + np.cos(safe)) / (2 * safe * np.sin(safe)))
+
+
+def _jinv_coef_prime(theta: np.ndarray) -> np.ndarray:
+    small = theta < _SMALL_ANGLE
+    safe = np.where(small, 1.0, theta)
+    s, c = np.sin(safe), np.cos(safe)
+    return np.where(small, theta / 360 + theta**3 / 7560,
+                    -2 / safe**3 - ((-s) * (2 * safe * s) - (1 + c) * (2 * s + 2 * safe * c))
+                    / (2 * safe * s) ** 2)
+
+
 class SO3(MatrixLieGroup):
     """Rotation group of R^3 in the cross-product basis.
 
     Chart domain is the open ball of radius pi; closed-form Rodrigues maps and
     Jacobians are used throughout, with fourth-order Taylor branches below
-    ``|x| = 1e-4`` to avoid indeterminate ratios.
+    ``|x| = 1e-4`` to avoid indeterminate ratios.  Each entry is computed
+    straight from x (or g) in the operation order of the ``wedge``/K^2 matrix
+    form, so results are that form's bit for bit: near-pi exclusions and the
+    archived sweeps depend on the last bit.
     """
 
     def __init__(self):
-        basis = np.zeros((3, 3, 3))
-        basis[0] = [[0, 0, 0], [0, 0, -1], [0, 1, 0]]
-        basis[1] = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
-        basis[2] = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
+        basis = np.array([[[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+                          [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+                          [[0, -1, 0], [1, 0, 0], [0, 0, 0]]], float)
         super().__init__(basis, name="SO(3)")
 
     def wedge(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
         K = np.zeros(x.shape[:-1] + (3, 3))
-        K[..., 0, 1] = -x[..., 2]
-        K[..., 0, 2] = x[..., 1]
-        K[..., 1, 0] = x[..., 2]
-        K[..., 1, 2] = -x[..., 0]
-        K[..., 2, 0] = -x[..., 1]
-        K[..., 2, 1] = x[..., 0]
+        for k, i, j in _CYCLIC:
+            K[..., i, j] = -x[..., k]
+            K[..., j, i] = x[..., k]
         return K
 
     def vee(self, mat: np.ndarray) -> np.ndarray:
@@ -246,30 +283,16 @@ class SO3(MatrixLieGroup):
         return np.stack([mat[..., 2, 1], mat[..., 0, 2], mat[..., 1, 0]], axis=-1)
 
     def in_domain(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(np.asarray(x, float), axis=-1) < np.pi
-
-    @staticmethod
-    def _square_of_wedge(x: np.ndarray) -> np.ndarray:
-        # cross-product identity: wedge(x)^2 = x x^T - |x|^2 I
-        sq = x[..., :, None] * x[..., None, :]
-        norm2 = (x * x).sum(axis=-1)
-        idx = np.arange(3)
-        sq[..., idx, idx] -= norm2[..., None]
-        return sq
+        return _polar(x)[2] < np.pi
 
     def exp(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        theta = np.linalg.norm(x, axis=-1)
+        xs, t2, theta = _polar(x)
         small = theta < _SMALL_ANGLE
         safe = np.where(small, 1.0, theta)
         a = np.where(small, 1 - theta**2 / 6 + theta**4 / 120, np.sin(safe) / safe)
         b = np.where(small, 0.5 - theta**2 / 24 + theta**4 / 720,
                      (1 - np.cos(safe)) / safe**2)
-        out = a[..., None, None] * self.wedge(x)
-        out += b[..., None, None] * self._square_of_wedge(x)
-        idx = np.arange(3)
-        out[..., idx, idx] += 1.0
-        return out
+        return _rodrigues_form(xs, t2, a, b)
 
     def log(self, g: np.ndarray) -> np.ndarray:
         x, ok = self.log_masked(g)
@@ -281,81 +304,61 @@ class SO3(MatrixLieGroup):
         """``(log(g), ok)``, where ``ok`` is false and the row NaN for the
         elements whose rotation angle lies within 1e-9 of pi."""
         g = np.asarray(g, float)
-        trace = np.trace(g, axis1=-2, axis2=-1)
+        trace = g[..., 0, 0] + g[..., 1, 1] + g[..., 2, 2]
         theta = np.arccos(np.clip((trace - 1) / 2, -1.0, 1.0))
         ok = ~(theta > _LOG_SINGULARITY)
-        w = np.stack([g[..., 2, 1] - g[..., 1, 2],
-                      g[..., 0, 2] - g[..., 2, 0],
-                      g[..., 1, 0] - g[..., 0, 1]], axis=-1)
         small = theta < _SMALL_ANGLE
         safe = np.where(small, 1.0, theta)
         coef = np.where(small, 0.5 * (1 + theta**2 / 6 + 7 * theta**4 / 360),
                         safe / (2 * np.sin(safe)))
-        return np.where(ok[..., None], coef[..., None] * w, np.nan), ok
+        x = np.empty(g.shape[:-1])
+        for k, i, j in _CYCLIC:                                   # vee(g - g^T)
+            np.multiply(coef, g[..., j, i] - g[..., i, j], out=x[..., k])
+        x[~ok] = np.nan
+        return x, ok
 
-    def ad(self, x: np.ndarray) -> np.ndarray:
-        return self.wedge(x)
+    ad = wedge
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
         return np.asarray(g, float)
 
-    @staticmethod
-    def _c(theta: np.ndarray) -> np.ndarray:
-        """Coefficient of K^2 in both inverse Jacobians."""
-        small = theta < _SMALL_ANGLE
-        safe = np.where(small, 1.0, theta)
-        series = 1 / 12 + theta**2 / 720 + theta**4 / 30240
-        closed = 1 / safe**2 - (1 + np.cos(safe)) / (2 * safe * np.sin(safe))
-        return np.where(small, series, closed)
-
-    @staticmethod
-    def _c_prime(theta: np.ndarray) -> np.ndarray:
-        small = theta < _SMALL_ANGLE
-        safe = np.where(small, 1.0, theta)
-        s, c = np.sin(safe), np.cos(safe)
-        closed = -2 / safe**3 - (
-            (-s) * (2 * safe * s) - (1 + c) * (2 * s + 2 * safe * c)
-        ) / (2 * safe * s) ** 2
-        return np.where(small, theta / 360 + theta**3 / 7560, closed)
-
     def left_jacobian(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        theta = np.linalg.norm(x, axis=-1)
+        xs, t2, theta = _polar(x)
         small = theta < _SMALL_ANGLE
         safe = np.where(small, 1.0, theta)
         a = np.where(small, 0.5 - theta**2 / 24 + theta**4 / 720,
                      (1 - np.cos(safe)) / safe**2)
         b = np.where(small, 1 / 6 - theta**2 / 120 + theta**4 / 5040,
                      (safe - np.sin(safe)) / safe**3)
-        out = a[..., None, None] * self.wedge(x)
-        out += b[..., None, None] * self._square_of_wedge(x)
-        idx = np.arange(3)
-        out[..., idx, idx] += 1.0
-        return out
+        return _rodrigues_form(xs, t2, a, b)
 
     def left_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        theta = np.linalg.norm(x, axis=-1)
-        out = -0.5 * self.wedge(x)
-        out += self._c(theta)[..., None, None] * self._square_of_wedge(x)
-        idx = np.arange(3)
-        out[..., idx, idx] += 1.0
-        return out
+        xs, t2, theta = _polar(x)
+        return _rodrigues_form(xs, t2, -0.5, _jinv_coef(theta))
 
     def left_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        theta = np.linalg.norm(x, axis=-1)
-        K = self.wedge(x)
-        sq = self._square_of_wedge(x)
+        """dJ_l^-1/dx_k = (c'/|x|) x_k K^2 + c (E_k K + K E_k) - E_k / 2, entry
+        by entry from E_k K + K E_k = x e_k^T + e_k x^T - 2 x_k I, with the +0
+        that the matrix products of that form leave where it vanishes."""
+        xs, t2, theta = _polar(x)
         zero = theta < 1e-150
         safe = np.where(zero, 1.0, theta)
-        radial = (self._c_prime(theta) * np.where(zero, 0.0, 1.0 / safe))[..., None, None]
-        c = self._c(theta)[..., None, None]
-        out = np.empty((3,) + sq.shape)      # filled per k: keeps temporaries small
-        for k, Ek in enumerate(self.basis):
-            out[k] = radial * x[..., k, None, None] * sq
-            out[k] += c * (Ek @ K + K @ Ek)
-            out[k] -= 0.5 * Ek
+        radial = _jinv_coef_prime(theta) * np.where(zero, 0.0, 1.0 / safe)
+        c = _jinv_coef(theta)
+        diag = [xi * xi - t2 for xi in xs]                    # K^2 = x x^T - t2 I
+        off = [xs[1] * xs[2], xs[2] * xs[0], xs[0] * xs[1]]   # by the missing index
+        cx, cz = [c * (xi + 0.0) for xi in xs], c * 0.0
+        out = np.empty((3,) + np.shape(t2) + (3, 3))
+        for k, i, j in _CYCLIC:
+            rk, o, c2x = radial * xs[k], out[k], c * (-2.0 * xs[k] + 0.0)
+            np.add(rk * diag[k], cz, out=o[..., k, k])
+            np.add(rk * diag[i], c2x, out=o[..., i, i])
+            np.add(rk * diag[j], c2x, out=o[..., j, j])
+            o[..., k, i] = np.add(rk * off[j], cx[i], out=o[..., i, k])
+            o[..., k, j] = np.add(rk * off[i], cx[j], out=o[..., j, k])
+            sym = rk * off[k]           # then -E_k / 2; adding c * 0 first changes no bit
+            np.add(sym, 0.5, out=o[..., i, j])
+            np.subtract(sym, 0.5, out=o[..., j, i])
         return out
 
 
@@ -387,23 +390,20 @@ class DiagonalGroup(MatrixLieGroup):
         return np.log(diag)
 
     def ad(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        return np.zeros(x.shape[:-1] + (self.dim, self.dim))
+        return np.zeros(np.shape(x)[:-1] + (self.dim, self.dim))
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
         g = np.asarray(g, float)
         return np.broadcast_to(np.eye(self.dim), g.shape[:-2] + (self.dim, self.dim)).copy()
 
     def _jac(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        return np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim)).copy()
+        return np.broadcast_to(np.eye(self.dim), np.shape(x)[:-1] + (self.dim, self.dim)).copy()
 
     left_jacobian = _jac
     left_jacobian_inv = _jac
 
     def left_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        return np.zeros((self.dim,) + x.shape[:-1] + (self.dim, self.dim))
+        return np.zeros((self.dim,) + np.shape(x)[:-1] + (self.dim, self.dim))
 
 
 # -- Lie directional derivatives --------------------------------------------

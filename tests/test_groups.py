@@ -231,6 +231,85 @@ def test_abelian_inv_partial_is_zero(diag3):
         assert np.array_equal(diag3.right_jacobian_inv_partials(x)[k], np.zeros((3, 3)))
 
 
+# -- SO(3) closed-form kernels: Taylor branch, 1e-4 switch, batch shapes ------
+
+_KERNEL_NORMS = (0.0, 1e-12, 9.9e-5, 1.01e-4, 1.0, np.pi - 1e-3)
+_KERNELS = ("exp", "left_jacobian", "left_jacobian_inv",
+            "left_jacobian_inv_partials", "right_jacobian_inv_partials")
+
+
+def _kernel_rows():
+    """Twelve rows, two random directions at each of ``_KERNEL_NORMS``."""
+    rng = np.random.default_rng(31)
+    v = rng.standard_normal((12, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v * np.repeat(_KERNEL_NORMS, 2)[:, None]
+
+
+def _row(out, name, idx):
+    """Element ``idx`` of a kernel output; partials carry k in front."""
+    return out[(slice(None),) + idx] if name.endswith("partials") else out[idx]
+
+
+def _assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("batch", [(), (12,), (2, 5)])
+def test_so3_kernels_rows_bitwise_and_match_series(so3, generic_so3, batch):
+    rows = _kernel_rows()
+    for name in _KERNELS:
+        fn = getattr(so3, name)
+        if batch == ():     # one vector against a batch of one, row by row
+            for x in rows:
+                _assert_bitwise(fn(x), _row(fn(x[None]), name, (0,)))
+            continue
+        xs = rows[:int(np.prod(batch))].reshape(batch + (3,))
+        got = fn(xs)
+        for idx in np.ndindex(*batch):
+            _assert_bitwise(_row(got, name, idx), fn(xs[idx]))
+        # Against the ad series, to 1e-14 for |x| <= 1.  Just above the 1e-4
+        # switch the closed forms cancel: (1 - cos t) / t^2 leaves J_l 2.6e-13
+        # off at t = 1.01e-4, and c'(t) there is wrong in every digit, which
+        # the small x_k K^2 it multiplies scales down to 4.5e-12.
+        norm = np.linalg.norm(xs, axis=-1)
+        err = np.abs(got - getattr(generic_so3, name)(xs))
+        err = err.max(axis=(0, -2, -1) if name.endswith("partials") else (-2, -1))
+        assert err[(norm <= 1.0) & ((norm < 1e-4) | (norm > 1e-3))].max() < 1e-14
+        assert err[(norm > 1e-4) & (norm < 1e-3)].max() < 1e-11
+
+
+def test_chart_boundary_decisions(so3):
+    # in_domain decides |x| < pi exactly as np.linalg.norm does, at the last bit
+    rng = np.random.default_rng(37)
+    dirs = np.concatenate([np.eye(3), rng.standard_normal((300, 3))])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    xs = np.concatenate([dirs * (np.pi * f) for f in (1 - 4e-16, 1.0, 1 + 4e-16)])
+    want = np.linalg.norm(xs, axis=-1) < np.pi
+    assert want.any() and not want.all()
+    assert np.array_equal(so3.in_domain(xs), want)
+    assert [so3.in_domain(x) for x in xs[::10]] == want[::10].tolist()
+    # log_masked flags arccos((trace - 1) / 2) > pi - 1e-9 row by row: one row
+    # at pi - 1e-10 among clear rows, then rows at pi - 1e-10 ... pi - 1e-7
+    angles = np.concatenate([[0.0, 1e-5, 1.0, np.pi - 1e-3, np.pi - 1e-10, 2.0],
+                             np.pi - 10 ** rng.uniform(-10, -7, 297)])
+    axes = dirs.copy()
+    axes[4] = [0.0, 0.6, 0.8]
+    g = so3.exp(axes * angles[:, None])
+    trace = np.trace(g, axis1=-2, axis2=-1)
+    flagged = np.arccos(np.clip((trace - 1) / 2, -1.0, 1.0)) > np.pi - 1e-9
+    x, ok = so3.log_masked(g)
+    assert ok[:6].tolist() == [True, True, True, True, False, True]
+    assert flagged[6:].any() and not flagged[6:].all()
+    assert np.array_equal(ok, ~flagged)
+    assert np.isnan(x[~ok]).all() and np.isfinite(x[ok]).all()
+    for i in range(0, len(g), 10):
+        xi, oki = so3.log_masked(g[i])
+        assert oki == ok[i]
+        assert np.array_equal(xi, x[i], equal_nan=True)
+
+
 # -- ad operator ---------------------------------------------------------------
 
 def test_ad_zero(so3, diag3):
