@@ -15,7 +15,8 @@ Two concrete descriptors are provided:
   correction vanishes.
 
 Jacobians are one-sided: a descriptor supplies ``left_jacobian``,
-``left_jacobian_inv`` and ``left_jacobian_inv_partials``, and
+``left_jacobian_inv`` and ``left_jacobian_inv_partials``, the last returning
+the pair (J_l^-1(x), all dJ_l^-1/dx_k (x)) from one evaluation, and
 :class:`MatrixLieGroup` derives the right side for every group from the exact
 identities
 
@@ -23,16 +24,14 @@ identities
     J_r^-1(x) = J_l^-1(-x) = J_l^-1(x) + ad(x),
     dJ_r^-1/dx_k (x) = -dJ_l^-1/dx_k (-x),
 
-which hold because the Bernoulli series of J_l^-1 has no odd terms after
-B_1 = -1/2 (Sola et al., arXiv 1812.01537).
+which hold because J_l(x) = phi(ad x) with phi(z) = (e^z - 1) / z, and
+1 / phi(-z) = 1 / phi(z) + z (Sola et al., arXiv 1812.01537).
 
 Anything else can subclass :class:`MatrixLieGroup` and inherit power-series
-fallbacks for the exponential, the adjoint machinery, and the left Jacobians
-(truncated at 20 terms of the ``ad`` series).  The partial derivatives of the
-inverse Jacobian differentiate that truncated series termwise, for every
-component at once: with A = ad(x) and S_k = ad(e_k) = dA/dx_k, the derivatives
-D_m = d(A^m)/dx_k obey D_1 = S_k and D_m = D_{m-1} A + A^{m-1} S_k, one
-batched recurrence over the 19 powers for all k together.
+fallbacks for the exponential, the adjoint machinery, and the left Jacobians:
+one pass sums the entire series J_l = sum_m A^m / (m+1)!, A = ad(x), and all
+its partials, D_m = d(A^m)/dx_k = D_{m-1} A + A^{m-1} ad(e_k); J_l is inverted
+once and dJ_l^-1 = -J_l^-1 dJ_l J_l^-1 (Higham, *Functions of Matrices*, 2008).
 
 All operations are pure functions of their inputs and safe to call from
 concurrent threads; the only internal state is a cache of one-parameter
@@ -41,32 +40,16 @@ subgroup stencils whose entries are idempotent.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial
+from math import lgamma, log
 
 import numpy as np
 
 from .errors import LieDomainError, SingularJacobianError
 
-_SERIES_TERMS = 20
 _SMALL_ANGLE = 1e-4
 _LOG_SINGULARITY = np.pi - 1e-9
 _DET_TOL = 1e-12
-
-
-def _bernoulli_over_factorial(count: int) -> np.ndarray:
-    """Coefficients b_k = B_k / k! of the inverse left Jacobian series."""
-    bern = [Fraction(1)]
-    for n in range(1, count):
-        acc = Fraction(0)
-        for k in range(n):
-            acc += comb(n + 1, k) * bern[k]
-        bern.append(-acc / (n + 1))
-    return np.array([float(b / factorial(k)) for k, b in enumerate(bern)])
-
-
-_B_COEF = _bernoulli_over_factorial(_SERIES_TERMS)          # inverse Jacobians
-_J_COEF = np.array([1.0 / factorial(k + 1) for k in range(_SERIES_TERMS)])
+_LOG_SERIES_TOL = log(1e-17)
 
 
 class MatrixLieGroup:
@@ -74,8 +57,8 @@ class MatrixLieGroup:
 
     Subclasses override the left Jacobians only (``left_jacobian``,
     ``left_jacobian_inv`` and ``left_jacobian_inv_partials``, the last
-    returning a new array); the right ones follow here from the identities
-    of the module docstring.
+    returning its pair as new arrays); the right ones follow here from the
+    identities of the module docstring.
 
     Parameters
     ----------
@@ -152,34 +135,44 @@ class MatrixLieGroup:
         cols = self.vee(np.einsum("...ab,jbc,...cd->j...ad", g, self.basis, ginv))
         return np.moveaxis(cols, 0, -1)
 
-    # -- coordinate Jacobians (ad power series fallback) --------------------
-    def _ad_powers(self, x: np.ndarray) -> np.ndarray:
+    # -- coordinate Jacobians (phi series fallback) ---------------------------
+    def _phi_series(self, x: np.ndarray, partials: bool = False):
+        """``(J_l, dJ_l)``: J_l = phi(ad x) and, with ``partials``, its dim
+        partial derivatives (dim, ..., N, N), else None; both summed through
+        the first m with ||A||_1^m / (m+1)! < 1e-17, A = ad(x), for the batch's
+        largest ||A||_1 (as ``exp`` sizes its squarings from the input)."""
         A = self.ad(x)
-        powers = np.empty((_SERIES_TERMS,) + A.shape)
-        powers[0] = np.broadcast_to(np.eye(self.dim), A.shape)
-        for k in range(1, _SERIES_TERMS):
-            powers[k] = powers[k - 1] @ A
-        return powers
+        log_norm = log(max(float(np.abs(A).sum(axis=-2).max(initial=0.0)), 1e-300))
+        last = 1
+        while last * log_norm - lgamma(last + 2) >= _LOG_SERIES_TOL:
+            last += 1
+        term, djac = A / 2, None                  # the terms A^m / (m+1)!, D_m / (m+1)!
+        jac = np.eye(self.dim) + term
+        if partials:
+            gens = self._struct.reshape((self.dim,) + (1,) * (A.ndim - 2) + A.shape[-2:])
+            dterm = np.broadcast_to(gens, (self.dim,) + A.shape) / 2    # D_1 = ad(e_k)
+            djac = dterm.copy()
+        for m in range(2, last + 1):
+            if partials:
+                dterm = (dterm @ A + term @ gens) / (m + 1)
+                djac += dterm
+            term = term @ A / (m + 1)
+            jac += term
+        return jac, djac
 
     def left_jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self._checked(np.einsum("k,k...->...", _J_COEF, self._ad_powers(x)))
+        return self._checked(self._phi_series(x)[0])
 
     def left_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
-        return self._checked(np.einsum("k,k...->...", _B_COEF, self._ad_powers(x)))
+        return np.linalg.inv(self.left_jacobian(x))
 
-    def left_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
-        """All dim partial derivatives dJ_l^-1/dx_k, shape (dim, ..., N, N),
-        from the derivative recurrence of the module docstring."""
-        A = self.ad(x)
-        gens = self._struct.reshape((self.dim,) + (1,) * (A.ndim - 2) + A.shape[-2:])
-        power = np.broadcast_to(np.eye(self.dim), A.shape)      # A^(m-1)
-        deriv = np.broadcast_to(gens, (self.dim,) + A.shape)    # D_1 = ad(e_k)
-        out = _B_COEF[1] * deriv
-        for m in range(2, _SERIES_TERMS):
-            power = power @ A
-            deriv = deriv @ A + power @ gens
-            out = out + _B_COEF[m] * deriv
-        return out
+    def left_jacobian_inv_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(J_l^-1, dJ_l^-1)``, the partials dJ_l^-1/dx_k of shape
+        (dim, ..., N, N) as -J_l^-1 (dJ_l/dx_k) J_l^-1 from one phi series."""
+        jac, djac = self._phi_series(x, partials=True)
+        jinv = np.linalg.inv(self._checked(jac))
+        parts = jinv @ djac @ jinv
+        return jinv, np.negative(parts, out=parts)
 
     # -- right Jacobians, derived from the left ones for every group ----------
     def right_jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -188,12 +181,12 @@ class MatrixLieGroup:
     def right_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
         return self.left_jacobian_inv(np.negative(x, dtype=float))
 
-    def right_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
-        """All dim partial derivatives dJ_r^-1/dx_k, shape (dim, ..., N, N),
-        negated in place from the left partials at -x (as 0 - p, so that
+    def right_jacobian_inv_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(J_r^-1, dJ_r^-1)``, the pair of the left Jacobian at -x with the
+        partials, shape (dim, ..., N, N), negated in place (as 0 - p, so that
         zeros stay +0)."""
-        parts = self.left_jacobian_inv_partials(np.negative(x, dtype=float))
-        return np.subtract(0.0, parts, out=parts)
+        jinv, parts = self.left_jacobian_inv_partials(np.negative(x, dtype=float))
+        return jinv, np.subtract(0.0, parts, out=parts)
 
     def _checked(self, J: np.ndarray) -> np.ndarray:
         det = np.linalg.det(J)
@@ -236,21 +229,28 @@ def _rodrigues_form(xs: tuple, t2: np.ndarray, a, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jinv_coef(theta: np.ndarray) -> np.ndarray:
-    """c(|x|), the coefficient of K^2 in both inverse Jacobians."""
-    small = theta < _SMALL_ANGLE
-    safe = np.where(small, 1.0, theta)
-    return np.where(small, 1 / 12 + theta**2 / 720 + theta**4 / 30240,
-                    1 / safe**2 - (1 + np.cos(safe)) / (2 * safe * np.sin(safe)))
+# c(t) = (1 - (t/2) cot(t/2)) / t^2 = sum_n (-1)^n B_(2n+2) t^2n / (2n+2)! and
+# c'(t) / t, by their Taylor series below t = 0.5, where the closed forms cancel
+_JINV_SWITCH = 0.5
+_JINV_SERIES = (1 / 12, 1 / 720, 1 / 30240, 1 / 1209600, 1 / 47900160,
+                691 / 1307674368000, 1 / 74724249600, 3617 / 10670622842880000)
+_RADIAL_SERIES = tuple(2 * n * a for n, a in enumerate(_JINV_SERIES) if n)
 
 
-def _jinv_coef_prime(theta: np.ndarray) -> np.ndarray:
-    small = theta < _SMALL_ANGLE
-    safe = np.where(small, 1.0, theta)
-    s, c = np.sin(safe), np.cos(safe)
-    return np.where(small, theta / 360 + theta**3 / 7560,
-                    -2 / safe**3 - ((-s) * (2 * safe * s) - (1 + c) * (2 * s + 2 * safe * c))
-                    / (2 * safe * s) ** 2)
+def _jinv_coef(t2: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """c(|x|), the coefficient of K^2 in both inverse Jacobians, written with
+    cot(|x|/2) so that it stays accurate up to pi."""
+    half = np.where(theta < _JINV_SWITCH, 1.0, theta) / 2
+    return np.where(theta < _JINV_SWITCH, np.polyval(_JINV_SERIES[::-1], t2),
+                    (1 - half * np.cos(half) / np.sin(half)) / (4 * half * half))
+
+
+def _jinv_radial(t2: np.ndarray, theta: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c'(|x|) / |x| = (1 / (4 sin^2(|x|/2)) - 1 / |x|^2 - c) / |x|^2."""
+    safe = np.where(theta < _JINV_SWITCH, 1.0, theta)
+    s, inv2 = np.sin(safe / 2), 1 / (safe * safe)
+    return np.where(theta < _JINV_SWITCH, np.polyval(_RADIAL_SERIES[::-1], t2),
+                    (0.25 / (s * s) - inv2 - c) * inv2)
 
 
 class SO3(MatrixLieGroup):
@@ -258,10 +258,11 @@ class SO3(MatrixLieGroup):
 
     Chart domain is the open ball of radius pi; closed-form Rodrigues maps and
     Jacobians are used throughout, with fourth-order Taylor branches below
-    ``|x| = 1e-4`` to avoid indeterminate ratios.  Each entry is computed
-    straight from x (or g) in the operation order of the ``wedge``/K^2 matrix
-    form, so results are that form's bit for bit: near-pi exclusions and the
-    archived sweeps depend on the last bit.
+    ``|x| = 1e-4`` to avoid indeterminate ratios, and series to |x|^14 below
+    0.5 for the inverse-Jacobian coefficients, whose closed forms cancel
+    there.  Each entry is computed straight from x (or g) in the operation
+    order of the ``wedge``/K^2 matrix form, so results are that form's bit
+    for bit: near-pi exclusions and the archived sweeps depend on the last bit.
     """
 
     def __init__(self):
@@ -327,24 +328,23 @@ class SO3(MatrixLieGroup):
         small = theta < _SMALL_ANGLE
         safe = np.where(small, 1.0, theta)
         a = np.where(small, 0.5 - theta**2 / 24 + theta**4 / 720,
-                     (1 - np.cos(safe)) / safe**2)
+                     2 * np.sin(safe / 2) ** 2 / safe**2)
         b = np.where(small, 1 / 6 - theta**2 / 120 + theta**4 / 5040,
                      (safe - np.sin(safe)) / safe**3)
         return _rodrigues_form(xs, t2, a, b)
 
     def left_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
         xs, t2, theta = _polar(x)
-        return _rodrigues_form(xs, t2, -0.5, _jinv_coef(theta))
+        return _rodrigues_form(xs, t2, -0.5, _jinv_coef(t2, theta))
 
-    def left_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
-        """dJ_l^-1/dx_k = (c'/|x|) x_k K^2 + c (E_k K + K E_k) - E_k / 2, entry
-        by entry from E_k K + K E_k = x e_k^T + e_k x^T - 2 x_k I, with the +0
-        that the matrix products of that form leave where it vanishes."""
+    def left_jacobian_inv_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(J_l^-1, dJ_l^-1)`` sharing c.  dJ_l^-1/dx_k = (c'/|x|) x_k K^2
+        + c (E_k K + K E_k) - E_k / 2, entry by entry from E_k K + K E_k =
+        x e_k^T + e_k x^T - 2 x_k I, with the +0 that the matrix products of
+        that form leave where it vanishes."""
         xs, t2, theta = _polar(x)
-        zero = theta < 1e-150
-        safe = np.where(zero, 1.0, theta)
-        radial = _jinv_coef_prime(theta) * np.where(zero, 0.0, 1.0 / safe)
-        c = _jinv_coef(theta)
+        c = _jinv_coef(t2, theta)
+        radial = _jinv_radial(t2, theta, c)
         diag = [xi * xi - t2 for xi in xs]                    # K^2 = x x^T - t2 I
         off = [xs[1] * xs[2], xs[2] * xs[0], xs[0] * xs[1]]   # by the missing index
         cx, cz = [c * (xi + 0.0) for xi in xs], c * 0.0
@@ -359,7 +359,7 @@ class SO3(MatrixLieGroup):
             sym = rk * off[k]           # then -E_k / 2; adding c * 0 first changes no bit
             np.add(sym, 0.5, out=o[..., i, j])
             np.subtract(sym, 0.5, out=o[..., j, i])
-        return out
+        return _rodrigues_form(xs, t2, -0.5, c), out
 
 
 class DiagonalGroup(MatrixLieGroup):
@@ -402,8 +402,8 @@ class DiagonalGroup(MatrixLieGroup):
     left_jacobian = _jac
     left_jacobian_inv = _jac
 
-    def left_jacobian_inv_partials(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros((self.dim,) + np.shape(x)[:-1] + (self.dim, self.dim))
+    def left_jacobian_inv_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._jac(x), np.zeros((self.dim,) + np.shape(x)[:-1] + (self.dim, self.dim))
 
 
 # -- Lie directional derivatives --------------------------------------------
@@ -432,9 +432,8 @@ def expand_log_perturbation(group: MatrixLieGroup, eps: np.ndarray,
     """Second-order expansion of log(exp(-eps) exp(x)) around eps = 0."""
     eps = np.asarray(eps, float)
     x = np.asarray(x, float)
-    jinv = group.left_jacobian_inv(x)
+    jinv, parts = group.left_jacobian_inv_partials(x)
     w = np.einsum("...ij,...j->...i", jinv, eps)
-    parts = group.left_jacobian_inv_partials(x)
     second = np.einsum("...k,k...ij,...j->...i", w, parts, eps)
     return x - w + 0.5 * second
 

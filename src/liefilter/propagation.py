@@ -56,9 +56,9 @@ def _velocities(group: MatrixLieGroup, state: PropagationState, model: SdeModel,
     pts = expectation_nodes(np.zeros(group.dim), state.cov, cfg.expectation)
     big_h = np.asarray(model.diffusion(state.mean, state.t), float)
     hht = big_h @ big_h.T
-    jli = group.left_jacobian_inv(pts)
-    jri = jli + group.ad(pts)       # J_r^-1(x) = J_l^-1(x) + ad(x): no second series
-    curvature = _ito_curvature(group, pts, jri, hht)
+    jri, rparts = group.right_jacobian_inv_partials(pts)
+    jli = jri - group.ad(pts)       # J_l^-1(x) = J_r^-1(x) - ad(x): no second series
+    curvature = _ito_curvature(jri, rparts, hht)
     h_chart = np.asarray(model.drift(state.mean @ group.exp(pts), state.t), float)
     h_chart = np.broadcast_to(h_chart, pts.shape)
     body_drift = np.einsum("...ij,...j->...i", jri, h_chart)

@@ -158,11 +158,10 @@ def sample_parametric_path(group: MatrixLieGroup, model: ParametricSdeModel,
     return out if store_path else x
 
 
-def _ito_curvature(group: MatrixLieGroup, x: np.ndarray, jri: np.ndarray,
-                  hht: np.ndarray) -> np.ndarray:
-    """Ito curvature term (1/2) sum_k (dJ_r^-1/dx_k) H H^T J_r^-T e_k at chart
-    points x, given jri = J_r^-1(x); one contraction over all k."""
-    parts = group.right_jacobian_inv_partials(x)       # before vk: lower peak memory
+def _ito_curvature(jri: np.ndarray, parts: np.ndarray, hht: np.ndarray) -> np.ndarray:
+    """Ito curvature term (1/2) sum_k (dJ_r^-1/dx_k) H H^T J_r^-T e_k, given
+    the pair ``(jri, parts)`` of ``right_jacobian_inv_partials``; one
+    contraction over all k."""
     vk = np.einsum("...ij,...kj->...ki", hht, jri)     # row k: H H^T J_r^-T e_k
     return 0.5 * np.einsum("k...ij,...kj->...i", parts, vk)
 
@@ -185,7 +184,7 @@ def ito_injection_to_parametric(group: MatrixLieGroup, model: SdeModel,
         big = np.asarray(model.diffusion(g, t), float)
         hht = big @ np.swapaxes(big, -1, -2)
         del g, big                 # freed before the partials: lower peak memory
-        corr = _ito_curvature(group, x, group.right_jacobian_inv(x), hht)
+        corr = _ito_curvature(*group.right_jacobian_inv_partials(x), hht)
         return h + _mv(group.right_jacobian(x), corr)
 
     def diffusion(x, t):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liefilter.errors import LieDomainError
+from liefilter.errors import LieDomainError, SingularJacobianError
 from liefilter.groups import (
     SO3,
     bch_truncated,
@@ -21,6 +21,26 @@ def series_expm(X, terms=30):
         term = term @ X / k
         out = out + term
     return out
+
+
+def phi_pair_longdouble(group, x, terms=60):
+    """``(J_l^-1, dJ_l^-1)`` at one point from the phi series J_l = sum_m
+    A^m / (m+1)! in np.longdouble: a fixed 60 terms, the partials by the
+    product rule, and the double-precision inverse refined by one Newton step."""
+    ld = np.longdouble
+    gens = group.ad(np.eye(group.dim)).astype(ld)          # gens[k] = ad(e_k)
+    A = np.einsum("i,ikj->kj", np.asarray(x, ld), gens)
+    eye = np.eye(group.dim, dtype=ld)
+    jac, djac = eye.copy(), np.zeros_like(gens)
+    power, deriv, fact = eye, np.zeros_like(gens), ld(1)
+    for m in range(1, terms):
+        deriv = deriv @ A + power @ gens                   # d(A^m)/dx_k
+        power = power @ A
+        fact *= m + 1
+        jac, djac = jac + power / fact, djac + deriv / fact
+    inv = np.linalg.inv(jac.astype(float)).astype(ld)
+    inv = inv + inv @ (eye - jac @ inv)
+    return inv, -(inv @ djac @ inv)
 
 
 def fd_jacobian(group, x, side, step=1e-6):
@@ -144,13 +164,13 @@ def test_generic_exp_and_adjoint_fallbacks(so3, generic_so3):
 
 
 def test_generic_series_matches_closed_forms(so3, generic_so3):
-    # 20-term ad series truncation error scales like (|x| / 2pi)^20
     rng = np.random.default_rng(2)
     for x in random_ball(rng, 2.0, count=10):
-        assert np.abs(generic_so3.left_jacobian(x) - so3.left_jacobian(x)).max() < 1e-8
-        assert np.abs(generic_so3.right_jacobian_inv(x) - so3.right_jacobian_inv(x)).max() < 1e-8
-        diff = generic_so3.right_jacobian_inv_partials(x) - so3.right_jacobian_inv_partials(x)
-        assert np.abs(diff).max() < 1e-8
+        assert np.abs(generic_so3.left_jacobian(x) - so3.left_jacobian(x)).max() < 1e-13
+        assert np.abs(generic_so3.right_jacobian_inv(x) - so3.right_jacobian_inv(x)).max() < 1e-13
+        diff = (generic_so3.right_jacobian_inv_partials(x)[1]
+                - so3.right_jacobian_inv_partials(x)[1])
+        assert np.abs(diff).max() < 1e-13
 
 
 def test_jacobian_identities(so3, generic_so3, se3, diag3):
@@ -161,14 +181,12 @@ def test_jacobian_identities(so3, generic_so3, se3, diag3):
         assert np.abs(jr - so3.left_jacobian(-x)).max() < 1e-10
         assert abs(abs(np.linalg.det(jl)) - abs(np.linalg.det(jr))) < 1e-10
         assert np.abs(so3.left_jacobian_inv(x) @ jl - np.eye(3)).max() < 1e-10
-    # The base class derives J_r^-1 at -x; propagation uses J_l^-1(x) + ad(x).
-    # The generic inverse is the 20-term series, whose truncation error
-    # ~(|x| / 2 pi)^20 reaches about 5e-10 at |x| = 2.
-    for group, inv_tol in ((so3, 1e-12), (diag3, 1e-12), (generic_so3, 1e-9), (se3, 1e-9)):
+    # The base class derives J_r^-1 at -x; propagation uses J_r^-1(x) - ad(x).
+    for group in (so3, diag3, generic_so3, se3):
         xs = rng.standard_normal((2, 5, group.dim))
         xs *= 2.0 * rng.uniform(0.05, 1.0, (2, 5, 1)) / np.linalg.norm(xs, axis=-1, keepdims=True)
         jri = group.right_jacobian_inv(xs)
-        assert np.abs(jri @ group.right_jacobian(xs) - np.eye(group.dim)).max() < inv_tol
+        assert np.abs(jri @ group.right_jacobian(xs) - np.eye(group.dim)).max() < 1e-12
         assert np.abs(jri - group.left_jacobian_inv(xs) - group.ad(xs)).max() < 1e-12
 
 
@@ -180,7 +198,7 @@ def test_inv_partial_at_origin_matches_fd(so3):
         e = np.zeros(3)
         e[k] = step
         fd = (so3.right_jacobian_inv(e) - so3.right_jacobian_inv(-e)) / (2 * step)
-        assert np.abs(so3.right_jacobian_inv_partials(np.zeros(3))[k] - fd).max() < 1e-8
+        assert np.abs(so3.right_jacobian_inv_partials(np.zeros(3))[1][k] - fd).max() < 1e-8
 
 
 def test_inv_partial_matches_fd_away_from_origin(so3):
@@ -190,10 +208,10 @@ def test_inv_partial_matches_fd_away_from_origin(so3):
         e = np.zeros(3)
         e[k] = step
         fd_r = (so3.right_jacobian_inv(x + e) - so3.right_jacobian_inv(x - e)) / (2 * step)
-        an_r = so3.right_jacobian_inv_partials(x)[k]
+        an_r = so3.right_jacobian_inv_partials(x)[1][k]
         assert np.abs(an_r - fd_r).max() / np.abs(an_r).max() < 1e-6
         fd_l = (so3.left_jacobian_inv(x + e) - so3.left_jacobian_inv(x - e)) / (2 * step)
-        an_l = so3.left_jacobian_inv_partials(x)[k]
+        an_l = so3.left_jacobian_inv_partials(x)[1][k]
         assert np.abs(an_l - fd_l).max() / np.abs(an_l).max() < 1e-6
 
 
@@ -203,7 +221,7 @@ def test_generic_partials_match_fd_on_se3(se3, side):
     rng = np.random.default_rng(23)
     xs = rng.standard_normal((8, 6))
     xs *= rng.uniform(0.05, 1.0, (8, 1)) / np.linalg.norm(xs, axis=1, keepdims=True)
-    parts = getattr(se3, f"{side}_jacobian_inv_partials")(xs)
+    parts = getattr(se3, f"{side}_jacobian_inv_partials")(xs)[1]
     assert parts.shape == (6, 8, 6, 6)
     step = 1e-6
     for k in range(6):
@@ -218,17 +236,49 @@ def test_generic_partials_match_closed_forms_batched(so3, generic_so3, batch):
     rng = np.random.default_rng(29)
     xs = random_ball(rng, 2.0, count=int(np.prod(batch))).reshape(batch + (3,))
     for side in ("right", "left"):
-        got = getattr(generic_so3, f"{side}_jacobian_inv_partials")(xs)
-        want = getattr(so3, f"{side}_jacobian_inv_partials")(xs)
+        got = getattr(generic_so3, f"{side}_jacobian_inv_partials")(xs)[1]
+        want = getattr(so3, f"{side}_jacobian_inv_partials")(xs)[1]
         assert got.shape == want.shape == (3,) + batch + (3, 3)
         for k in range(3):
-            assert np.abs(got[k] - want[k]).max() < 1e-8
+            assert np.abs(got[k] - want[k]).max() < 1e-13
+
+
+@pytest.mark.parametrize("name", ["generic_so3", "se3"])
+def test_generic_pair_matches_longdouble_phi_series(request, name):
+    # one batch, so the term count follows its largest row, up to pi - 1e-3
+    group = request.getfixturevalue(name)
+    rng = np.random.default_rng(41)
+    radii = np.repeat([0.0, 1e-3, 0.5, 1.0, 2.0, 3.1, np.pi - 1e-3], 4)
+    rot = rng.standard_normal((len(radii), 3))
+    rot *= (radii / np.linalg.norm(rot, axis=1))[:, None]
+    xs = np.concatenate([rot, rng.standard_normal((len(radii), group.dim - 3))], axis=1)
+    jinv, parts = group.left_jacobian_inv_partials(xs)
+    assert jinv.shape == (len(xs), group.dim, group.dim)
+    assert parts.shape == (group.dim, len(xs), group.dim, group.dim)
+    for i, x in enumerate(xs):
+        want_inv, want_parts = phi_pair_longdouble(group, x)
+        assert np.abs(jinv[i] - want_inv).max() < 1e-13
+        assert np.abs(parts[:, i] - want_parts).max() < 1e-13
+
+
+@pytest.mark.parametrize("name", ["generic_so3", "se3"])
+def test_generic_jacobian_singular_at_two_pi(request, name):
+    group = request.getfixturevalue(name)
+    x = np.zeros((2, group.dim))
+    x[:, :3] = np.array([[0.5], [2 * np.pi]]) * np.array([0.0, 0.6, 0.8])
+    group.left_jacobian_inv_partials(x[0])
+    with pytest.raises(SingularJacobianError):
+        group.left_jacobian_inv(x[1])
+    with pytest.raises(SingularJacobianError):
+        group.left_jacobian_inv_partials(x)
 
 
 def test_abelian_inv_partial_is_zero(diag3):
     x = np.array([0.4, 0.1, -0.3])
+    jinv, parts = diag3.right_jacobian_inv_partials(x)
+    assert np.array_equal(jinv, np.eye(3))
     for k in range(3):
-        assert np.array_equal(diag3.right_jacobian_inv_partials(x)[k], np.zeros((3, 3)))
+        assert np.array_equal(parts[k], np.zeros((3, 3)))
 
 
 # -- SO(3) closed-form kernels: Taylor branch, 1e-4 switch, batch shapes ------
@@ -246,6 +296,12 @@ def _kernel_rows():
     return v * np.repeat(_KERNEL_NORMS, 2)[:, None]
 
 
+def _kernel(group, name):
+    """The kernel as a function returning one array: of a pair, the partials."""
+    fn = getattr(group, name)
+    return (lambda x: fn(x)[1]) if name.endswith("partials") else fn
+
+
 def _row(out, name, idx):
     """Element ``idx`` of a kernel output; partials carry k in front."""
     return out[(slice(None),) + idx] if name.endswith("partials") else out[idx]
@@ -260,7 +316,7 @@ def _assert_bitwise(a, b):
 def test_so3_kernels_rows_bitwise_and_match_series(so3, generic_so3, batch):
     rows = _kernel_rows()
     for name in _KERNELS:
-        fn = getattr(so3, name)
+        fn = _kernel(so3, name)
         if batch == ():     # one vector against a batch of one, row by row
             for x in rows:
                 _assert_bitwise(fn(x), _row(fn(x[None]), name, (0,)))
@@ -269,15 +325,15 @@ def test_so3_kernels_rows_bitwise_and_match_series(so3, generic_so3, batch):
         got = fn(xs)
         for idx in np.ndindex(*batch):
             _assert_bitwise(_row(got, name, idx), fn(xs[idx]))
-        # Against the ad series, to 1e-14 for |x| <= 1.  Just above the 1e-4
-        # switch the closed forms cancel: (1 - cos t) / t^2 leaves J_l 2.6e-13
-        # off at t = 1.01e-4, and c'(t) there is wrong in every digit, which
-        # the small x_k K^2 it multiplies scales down to 4.5e-12.
+        # Against the phi series, to 1e-14 for |x| <= 1
         norm = np.linalg.norm(xs, axis=-1)
-        err = np.abs(got - getattr(generic_so3, name)(xs))
+        err = np.abs(got - _kernel(generic_so3, name)(xs))
         err = err.max(axis=(0, -2, -1) if name.endswith("partials") else (-2, -1))
-        assert err[(norm <= 1.0) & ((norm < 1e-4) | (norm > 1e-3))].max() < 1e-14
-        assert err[(norm > 1e-4) & (norm < 1e-3)].max() < 1e-11
+        assert err[norm <= 1.0].max() < 1e-14
+    if batch:       # the pair's J^-1 is the inverse Jacobian bit for bit
+        for side in ("left", "right"):
+            pair = getattr(so3, f"{side}_jacobian_inv_partials")(xs)
+            _assert_bitwise(pair[0], getattr(so3, f"{side}_jacobian_inv")(xs))
 
 
 def test_chart_boundary_decisions(so3):
