@@ -20,19 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import ConcentratedGaussian, sqrt_psd
+from .distribution import ConcentratedGaussian, sqrt_psd, symmetrize
 from .errors import (
     ExclusionOverflowError,
     LieDomainError,
     NonConcentratedWarning,
     RejectionOverflowError,
 )
-from .fusion import (
-    ObservationModelEuclidean,
-    ObservationModelGroup,
-    fuse_euclidean,
-    fuse_group,
-)
+from .fusion import ObservationModelGroup, _kalman_step, _linearize, _posterior, fuse_group
 from .groups import SO3
 
 log = logging.getLogger(__name__)
@@ -120,11 +115,24 @@ def observe_group(rotation: np.ndarray, tau: float, seed) -> np.ndarray:
 def _draw_streams(seed: int, tau_idx: int, count: int, root: np.ndarray,
                   noise_dim: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Prior chart draws (resampled outside the chart domain) and unit
-    observation noise, each sample from its own stream, plus the rejections."""
-    draws, noise, rejected = np.empty((count, 3)), np.empty((count, noise_dim)), 0
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tau_idx, i)))
-        for attempt in range(1000):
+    observation noise, each sample from its own stream, plus the rejections.
+
+    Every stream draws its candidates and then its noise.  One read per
+    stream gives the first candidate and the noise that follows it when that
+    candidate lies in the chart domain; the domain is screened once for all
+    first candidates, and only a rejected sample's stream is replayed past
+    its first candidate to redraw."""
+    def stream(i):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tau_idx, i)))
+
+    first = np.stack([stream(i).standard_normal(3 + noise_dim) for i in range(count)])
+    draws = np.stack([root @ v for v in first[:, :3]])
+    noise = first[:, 3:].copy()
+    rejected = 0
+    for i in np.flatnonzero(~_SO3.in_domain(draws)):
+        rng = stream(i)
+        rng.standard_normal(3)                 # the rejected first candidate
+        for attempt in range(1, 1000):
             draws[i] = root @ rng.standard_normal(3)
             if _SO3.in_domain(draws[i]):
                 break
@@ -140,15 +148,23 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
 
     Both estimators consume the identical observation for each sample, so the
     cost differences isolate the group-mean correction; the samples of one
-    tau are fused as one batch per estimator.  A sample whose innovation or
-    either scoring logarithm leaves the chart domain is excluded pairwise and
-    counted, and a chart-domain error raised by a batched fusion excludes
-    its whole tau.  The run fails with ExclusionOverflowError if more than
-    0.1% of all samples are excluded.
+    tau are fused as one batch.  The vector observation's linearization at
+    the prior mean depends only on the prior, so it is made once per sweep,
+    and each tau makes one chart update that both estimators map to the
+    group; the group observation is fused once per estimator.  A sample
+    whose innovation or either scoring logarithm leaves the chart domain is
+    excluded pairwise and counted, and a chart-domain error raised by a
+    batched fusion excludes its whole tau.  The run fails with
+    ExclusionOverflowError if more than 0.1% of all samples are excluded.
     """
     prior = build_prior()
     mu = prior.mean
     root = sqrt_psd(prior.cov)
+    euclidean = cfg.model == "euclidean"
+    shape = EUCLIDEAN_NOISE_SHAPE if euclidean else GROUP_NOISE_SHAPE
+    if euclidean:
+        P = symmetrize(prior.cov)
+        linearization = _linearize(_SO3, measure_euclidean, mu, P)
     records: list[TrialRecord] = []
     excluded = 0
     rejected_draws = 0
@@ -156,27 +172,29 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
 
     for tau_idx, tau in enumerate(np.asarray(cfg.tau_grid, float)):
         start = time.perf_counter()
-        shape = EUCLIDEAN_NOISE_SHAPE if cfg.model == "euclidean" else GROUP_NOISE_SHAPE
         draws, noise, tries = _draw_streams(cfg.seed, tau_idx, cfg.sample_count,
                                             root, len(shape))
         rejected_draws += tries
         truth = mu @ _SO3.exp(draws)
         noise *= np.sqrt(tau * np.diag(shape))
-        if cfg.model == "euclidean":
-            obs_model = ObservationModelEuclidean(measure_euclidean, tau * shape)
-            fuse, z = fuse_euclidean, measure_euclidean(truth) + noise
+        if euclidean:
+            z = measure_euclidean(truth) + noise
             valid = np.ones(cfg.sample_count, dtype=bool)
         else:
-            obs_model = ObservationModelGroup(_SO3, tau * shape)
-            fuse, z = fuse_group, truth @ _SO3.exp(noise)
+            z = truth @ _SO3.exp(noise)
             # screen the innovation exactly as fuse_group will form it
             valid = _SO3.log_masked(np.linalg.inv(mu) @ z)[1]
         truth_inv = np.swapaxes(truth[valid], -1, -2)
         try:
+            if euclidean:
+                m, cov = _kalman_step(linearization, P, symmetrize(tau * shape), z)
+                means = [_posterior(_SO3, mu, m, cov, flag).mean for flag in (False, True)]
+            else:
+                obs_model = ObservationModelGroup(_SO3, tau * shape)
+                means = [fuse_group(_SO3, prior, obs_model, z[valid], modified=flag).mean
+                         for flag in (False, True)]
             (e_plain, ok_plain), (e_mod, ok_mod) = [
-                _SO3.log_masked(truth_inv @ fuse(_SO3, prior, obs_model, z[valid],
-                                                 modified=flag).mean)
-                for flag in (False, True)]
+                _SO3.log_masked(truth_inv @ mean) for mean in means]
             ok = ok_plain & ok_mod
         except LieDomainError:
             ok = np.zeros(0, dtype=bool)

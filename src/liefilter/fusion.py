@@ -35,6 +35,7 @@ from .errors import InnovationSingularError
 from .groups import MatrixLieGroup, lie_derivative_right, lie_derivative_right_second
 
 _COND_LIMIT = 1e12
+_DERIVATIVE_STEP = 1e-5
 
 
 @dataclass
@@ -149,9 +150,37 @@ def _posterior(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,
     return ConcentratedGaussian(mu @ group.exp(m), cov)
 
 
+def _linearize(group: MatrixLieGroup, func: Callable[[np.ndarray], np.ndarray],
+               mu: np.ndarray, P: np.ndarray, step: float = _DERIVATIVE_STEP
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Linearization of ``func`` at the prior mean: k(mu), the (M, N) right
+    Lie derivative slopes and the curvature P_ij (E_i^r E_j^r k).  It depends
+    only on the prior, so observations sharing a prior can share it."""
+    dim = group.dim
+    slopes = np.stack([lie_derivative_right(group, func, mu, i, step)
+                       for i in range(dim)], axis=1)       # (M, N)
+    bend = sum(P[i, j] * lie_derivative_right_second(group, func, mu, i, j, step)
+               for i in range(dim) for j in range(dim))
+    return np.asarray(func(mu), float), slopes, bend
+
+
+def _kalman_step(linearization: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 P: np.ndarray, R: np.ndarray, z: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Chart means ``(..., N)`` and the shared projected chart covariance for
+    observations ``z`` of shape ``(..., M)``, given the linearization, the
+    symmetrized prior covariance ``P`` and noise covariance ``R``."""
+    k_mu, slopes, bend = linearization
+    S = slopes @ P @ slopes.T + R
+    C = P @ slopes.T
+    K = _solve_gain(S, C)
+    m = (z - k_mu - 0.5 * bend) @ K.T
+    return m, project_psd(P - K @ S @ K.T)
+
+
 def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
                    obs: ObservationModelEuclidean, z: np.ndarray,
-                   modified: bool = True, step: float = 1e-5
+                   modified: bool = True, step: float = _DERIVATIVE_STEP
                    ) -> ConcentratedGaussian:
     """Closed-form update for a vector observation.
 
@@ -166,19 +195,9 @@ def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
     mu = np.asarray(prior.mean, float)
     P = symmetrize(np.asarray(prior.cov, float))
     R = symmetrize(np.asarray(obs.noise_cov, float))
-    z = np.asarray(z, float)
-    dim = group.dim
-
-    slopes = np.stack([lie_derivative_right(group, obs.func, mu, i, step)
-                       for i in range(dim)], axis=1)       # (M, N)
-    S = slopes @ P @ slopes.T + R
-    C = P @ slopes.T
-    K = _solve_gain(S, C)
-
-    bend = sum(P[i, j] * lie_derivative_right_second(group, obs.func, mu, i, j, step)
-               for i in range(dim) for j in range(dim))
-    m = (z - np.asarray(obs.func(mu), float) - 0.5 * bend) @ K.T
-    return _posterior(group, mu, m, project_psd(P - K @ S @ K.T), modified)
+    m, cov = _kalman_step(_linearize(group, obs.func, mu, P, step), P, R,
+                          np.asarray(z, float))
+    return _posterior(group, mu, m, cov, modified)
 
 
 def fuse_group(group: MatrixLieGroup, prior: ConcentratedGaussian,

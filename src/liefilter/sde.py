@@ -108,7 +108,7 @@ def sample_nonparametric_path(group: MatrixLieGroup, model: SdeModel,
     for i in range(cfg.steps):
         t = i * dt
         halves = wiener_halves(cfg.seed, i, cfg.path_count, group.dim, dt)
-        dw = halves.sum(axis=1)
+        dw = halves[:, 0] + halves[:, 1]
         h = np.asarray(model.drift(g, t), float)
         if strat:
             g_mid = g @ group.exp(h * dt / 2 + _mv(
@@ -137,7 +137,7 @@ def sample_parametric_path(group: MatrixLieGroup, model: ParametricSdeModel,
     for i in range(cfg.steps):
         t = i * dt
         halves = wiener_halves(cfg.seed, i, cfg.path_count, group.dim, dt)
-        dw = halves.sum(axis=1)
+        dw = halves[:, 0] + halves[:, 1]
         jri = group.right_jacobian_inv(x)
         drift = _mv(jri, np.asarray(model.drift(x, t), float))
         if strat:

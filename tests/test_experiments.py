@@ -6,8 +6,9 @@ import pytest
 from liefilter import experiments
 from liefilter.cli import main
 from liefilter.distribution import sqrt_psd
-from liefilter.errors import NonConcentratedWarning
+from liefilter.errors import NonConcentratedWarning, RejectionOverflowError
 from liefilter.experiments import (
+    EUCLIDEAN_NOISE_SHAPE,
     GROUP_NOISE_SHAPE,
     ExperimentConfig,
     build_prior,
@@ -20,7 +21,12 @@ from liefilter.experiments import (
     run_sweep,
     TrialRecord,
 )
-from liefilter.fusion import ObservationModelGroup, fuse_group
+from liefilter.fusion import (
+    ObservationModelEuclidean,
+    ObservationModelGroup,
+    fuse_euclidean,
+    fuse_group,
+)
 
 
 # -- prior ------------------------------------------------------------------------
@@ -162,6 +168,75 @@ def test_sweep_excludes_a_failed_scoring_pairwise(so3, monkeypatch, caplog):
                 (plain * plain).sum(axis=-1).mean(), (mod * mod).sum(axis=-1).mean())
         got = (rec.c1_plain, rec.c1_modified, rec.c2_plain, rec.c2_modified)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def _per_sample_streams(so3, seed, tau_idx, count, root, noise_dim):
+    """Reference for _draw_streams: one stream per sample, candidates drawn
+    until one lies in the chart domain, then the noise."""
+    draws, noise, rejected = [], [], 0
+    for i in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tau_idx, i)))
+        v = root @ rng.standard_normal(3)
+        while not so3.in_domain(v):
+            rejected += 1
+            v = root @ rng.standard_normal(3)
+        draws.append(v)
+        noise.append(rng.standard_normal(noise_dim))
+    return np.array(draws), np.array(noise), rejected
+
+
+def test_draw_streams_batched_screen_matches_per_sample_loop(so3):
+    root = 2.0 * np.eye(3)                 # ~1 in 3 first candidates leaves the domain
+    draws, noise, rejected = experiments._draw_streams(3, 1, 300, root, 6)
+    want_draws, want_noise, want_rejected = _per_sample_streams(so3, 3, 1, 300, root, 6)
+    assert rejected == want_rejected > 50
+    assert np.array_equal(draws, want_draws) and np.array_equal(noise, want_noise)
+    with pytest.raises(RejectionOverflowError):
+        experiments._draw_streams(3, 1, 1, 1e6 * np.eye(3), 6)
+
+
+def test_euclidean_sweep_matches_per_tau_public_fusion(so3):
+    """One linearization per sweep and one chart update per tau give, bit for
+    bit, the costs of a public fuse_euclidean call per tau and estimator."""
+    seed, count = 17, 50
+    taus = default_tau_grid(1e-2, 1.0, 3)
+    cfg = ExperimentConfig(model="euclidean", sample_count=count, tau_grid=taus, seed=seed)
+    with pytest.warns(NonConcentratedWarning):
+        records = run_sweep(cfg)
+        prior = build_prior()
+    root = sqrt_psd(prior.cov)
+    for j, (tau, rec) in enumerate(zip(taus, records)):
+        draws, noise, _ = _per_sample_streams(so3, seed, j, count, root, 6)
+        truth = prior.mean @ so3.exp(draws)
+        z = measure_euclidean(truth) + noise * np.sqrt(tau * np.diag(EUCLIDEAN_NOISE_SHAPE))
+        obs = ObservationModelEuclidean(measure_euclidean, tau * EUCLIDEAN_NOISE_SHAPE)
+        e_plain, e_mod = [
+            so3.log(np.swapaxes(truth, -1, -2) @ fuse_euclidean(so3, prior, obs, z,
+                                                                modified=flag).mean)
+            for flag in (False, True)]
+        want = (float(np.linalg.norm(e_plain.mean(axis=0)) ** 2),
+                float(np.linalg.norm(e_mod.mean(axis=0)) ** 2),
+                float((e_plain * e_plain).sum(axis=-1).mean()),
+                float((e_mod * e_mod).sum(axis=-1).mean()))
+        assert (rec.c1_plain, rec.c1_modified, rec.c2_plain, rec.c2_modified) == want
+
+
+def test_euclidean_sweep_linearizes_once(monkeypatch):
+    """k(mu), two evaluations per slope and four per curvature stencil once
+    per sweep, plus one batched reading of the truths per tau."""
+    calls = []
+
+    def counted(rotation):
+        calls.append(1)
+        return measure_euclidean(rotation)
+
+    monkeypatch.setattr(experiments, "measure_euclidean", counted)
+    taus = default_tau_grid(1e-2, 1.0, 3)
+    cfg = ExperimentConfig(model="euclidean", sample_count=5, tau_grid=taus, seed=3)
+    with pytest.warns(NonConcentratedWarning):
+        run_sweep(cfg)
+    dim = 3
+    assert len(calls) == 1 + 2 * dim + 4 * dim ** 2 + len(taus)
 
 
 # -- CSV / gnuplot emission ------------------------------------------------------------
