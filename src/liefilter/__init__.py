@@ -46,9 +46,8 @@ from .groups import (
 from .propagation import (
     PropagationConfig,
     PropagationState,
-    covariance_velocity,
     export_trajectory_csv,
-    mean_velocity,
+    moment_velocities,
     propagate,
 )
 from .sde import (

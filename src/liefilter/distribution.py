@@ -193,6 +193,15 @@ def empirical_covariance(group: MatrixLieGroup, samples: np.ndarray,
     return np.einsum("ki,kj->ij", logs, logs) / len(logs)
 
 
+def _fitting_terms(jli: np.ndarray, nodes: np.ndarray, m: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The fitting formula's ``(m', <J_l^-1 m' x^T>)`` with m' = <J_l^-1>^-1 m,
+    given J_l^-1 at the equal-weight nodes x of N(0, cov)."""
+    m_prime = np.linalg.solve(jli.mean(axis=0), m)
+    lead = np.einsum("...ij,j->...i", jli, m_prime)
+    return m_prime, (lead[..., :, None] * nodes[..., None, :]).mean(axis=0)
+
+
 def fit_mean_covariance(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray,
                         mu: np.ndarray, cfg: ExpectationConfig | None = None
                         ) -> ConcentratedGaussian:
@@ -203,7 +212,6 @@ def fit_mean_covariance(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray,
     covariance loses sym(<J_l^-1 m' x^T>).  Expectations are taken under
     N(0, cov), which costs only a second-order error in |m'|.
     """
-    cfg = cfg or ExpectationConfig()
     m = np.asarray(m, float)
     cov = symmetrize(np.asarray(cov, float))
     if np.linalg.norm(m) > CONCENTRATION_LIMIT or \
@@ -212,14 +220,7 @@ def fit_mean_covariance(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray,
             "chart moments exceed the concentrated-distribution threshold 0.5; "
             "the fitted mean/covariance may be inaccurate",
             NonConcentratedWarning, stacklevel=2)
-    jbar = expect(group.left_jacobian_inv, np.zeros(group.dim), cov, cfg)
-    m_prime = np.linalg.solve(jbar, m)
-
-    def integrand(xs):
-        jinv = group.left_jacobian_inv(xs)
-        lead = np.einsum("...ij,j->...i", jinv, m_prime)
-        return lead[..., :, None] * xs[..., None, :]
-
-    cross = expect(integrand, np.zeros(group.dim), cov, cfg)
+    nodes = expectation_nodes(np.zeros(group.dim), cov, cfg)
+    m_prime, cross = _fitting_terms(group.left_jacobian_inv(nodes), nodes, m)
     cov_m = cov - (cross + cross.T)
     return ConcentratedGaussian(mu @ group.exp(m_prime), project_psd(cov_m))

@@ -126,7 +126,7 @@ def _draw_streams(seed: int, tau_idx: int, count: int, root: np.ndarray,
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tau_idx, i)))
 
     first = np.stack([stream(i).standard_normal(3 + noise_dim) for i in range(count)])
-    draws = np.stack([root @ v for v in first[:, :3]])
+    draws = first[:, :3] @ root.T
     noise = first[:, 3:].copy()
     rejected = 0
     for i in np.flatnonzero(~_SO3.in_domain(draws)):

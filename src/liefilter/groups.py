@@ -108,7 +108,7 @@ class MatrixLieGroup:
     def exp(self, x: np.ndarray) -> np.ndarray:
         """Matrix exponential of wedge(x), scaling-and-squaring fallback."""
         X = self.wedge(x)
-        norm = float(np.abs(X).sum(axis=-1).max())
+        norm = float(np.abs(X).sum(axis=-1).max(initial=0.0))
         squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.25))))
         Y = X / (2.0 ** squarings)
         out = np.broadcast_to(np.eye(self.mat_size), Y.shape).copy()

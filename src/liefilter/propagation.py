@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import ExpectationConfig, expectation_nodes, project_psd, symmetrize
+from .distribution import (
+    ExpectationConfig,
+    _fitting_terms,
+    expectation_nodes,
+    project_psd,
+    symmetrize,
+)
 from .errors import StepRejectedError
 from .groups import MatrixLieGroup
 from .sde import SdeModel, _ito_curvature
@@ -42,47 +48,29 @@ class PropagationConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
-def _velocities(group: MatrixLieGroup, state: PropagationState, model: SdeModel,
-                cfg: PropagationConfig, mean_vel: np.ndarray | None = None):
-    """Mean and covariance velocities ``(v, dcov)`` from one pass over the nodes.
+def moment_velocities(group: MatrixLieGroup, state: PropagationState, model: SdeModel,
+                      cfg: PropagationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance velocities ``(v, dcov)``: the fitting formula applied
+    to the chart drift f = curvature + J_r^-1 h of the coordinate process.
 
-    Nodes, Jacobians, partials and drift are evaluated once and feed both
-    right-hand sides; ``mean_vel`` overrides the mean velocity that the
-    covariance equation recentres by.  The diffusion matrix is evaluated once
-    at the current mean and held fixed across the step; the propagation law
-    assumes a constant H, so any time dependence enters only through this
-    per-step evaluation.
+    With m = <f>, v = <J_l^-1>^-1 m and dcov = sym(M + M^T + <J_r^-1 H H^T J_r^-T>)
+    for M = <f x^T> - <J_l^-1 v x^T>, all under N(0, cov).  The diffusion
+    matrix is evaluated once at the current mean and held fixed across the
+    step; the propagation law assumes a constant H, so any time dependence
+    enters only through this per-step evaluation.
     """
     pts = expectation_nodes(np.zeros(group.dim), state.cov, cfg.expectation)
     big_h = np.asarray(model.diffusion(state.mean, state.t), float)
     hht = big_h @ big_h.T
     jri, rparts = group.right_jacobian_inv_partials(pts)
     jli = jri - group.ad(pts)       # J_l^-1(x) = J_r^-1(x) - ad(x): no second series
-    curvature = _ito_curvature(jri, rparts, hht)
     h_chart = np.asarray(model.drift(state.mean @ group.exp(pts), state.t), float)
     h_chart = np.broadcast_to(h_chart, pts.shape)
-    body_drift = np.einsum("...ij,...j->...i", jri, h_chart)
-    if mean_vel is None:
-        mean_vel = np.linalg.solve(jli.mean(axis=0), (curvature + body_drift).mean(axis=0))
-    recenter = np.einsum("...ij,j->...i", jli, mean_vel)
-    lead = curvature - recenter + body_drift
-    outer = lead[..., :, None] * pts[..., None, :]
-    spread = jri @ hht @ np.swapaxes(jri, -1, -2)
-    total = (outer + np.swapaxes(outer, -1, -2) + spread).mean(axis=0)
-    return mean_vel, symmetrize(total)
-
-
-def mean_velocity(group: MatrixLieGroup, state: PropagationState,
-                  model: SdeModel, cfg: PropagationConfig) -> np.ndarray:
-    """Body-frame velocity of the group mean."""
-    return _velocities(group, state, model, cfg)[0]
-
-
-def covariance_velocity(group: MatrixLieGroup, state: PropagationState,
-                        model: SdeModel, mean_vel: np.ndarray,
-                        cfg: PropagationConfig) -> np.ndarray:
-    """Velocity of the chart covariance, given the mean velocity."""
-    return _velocities(group, state, model, cfg, mean_vel)[1]
+    drift = _ito_curvature(jri, rparts, hht) + np.einsum("...ij,...j->...i", jri, h_chart)
+    v, cross = _fitting_terms(jli, pts, drift.mean(axis=0))
+    lead = (drift[..., :, None] * pts[..., None, :]).mean(axis=0) - cross
+    spread = (jri @ hht @ np.swapaxes(jri, -1, -2)).mean(axis=0)
+    return v, symmetrize(lead + lead.T + spread)
 
 
 def propagate(group: MatrixLieGroup, state0: PropagationState, model: SdeModel,
@@ -98,6 +86,8 @@ def propagate(group: MatrixLieGroup, state0: PropagationState, model: SdeModel,
     re-projected to PSD after each step.  Raises StepRejectedError if a step
     drives the covariance indefinite beyond the 1e-8 slack before clamping.
     """
+    if not total_time > 0:
+        raise ValueError("total_time must be positive")
     cfg = cfg or PropagationConfig()
     steps = max(1, round(total_time / cfg.dt))
     dt = total_time / steps
@@ -107,7 +97,7 @@ def propagate(group: MatrixLieGroup, state0: PropagationState, model: SdeModel,
     traj = [PropagationState(mu.copy(), cov.copy(), t)]
 
     def velocities(mean, cov, t):
-        return _velocities(group, PropagationState(mean, cov, t), model, cfg)
+        return moment_velocities(group, PropagationState(mean, cov, t), model, cfg)
 
     def chart_vel(q, body_v):
         return np.linalg.solve(group.right_jacobian(q), body_v)

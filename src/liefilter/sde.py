@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainExitError
-from .groups import MatrixLieGroup
+from .groups import MatrixLieGroup, lie_derivative_right
 
 ITO = "ito"
 STRATONOVICH = "stratonovich"
@@ -209,9 +209,7 @@ def stratonovich_to_ito(group: MatrixLieGroup, model: SdeModel,
         big = np.asarray(model.diffusion(g, t), float)
         corr = 0.0
         for i in range(group.dim):
-            plus, minus = group._stencil(i, step)
-            deriv = (np.asarray(model.diffusion(g @ plus, t), float)
-                     - np.asarray(model.diffusion(g @ minus, t), float)) / (2 * step)
+            deriv = lie_derivative_right(group, lambda h: model.diffusion(h, t), g, i, step)
             corr = corr + 0.5 * np.einsum("...kj,...j->...k", deriv, big[..., i, :])
         return hs + corr
 

@@ -18,6 +18,7 @@ from liefilter.errors import (
     NonConcentratedWarning,
     RejectionOverflowError,
 )
+from liefilter.groups import SO3
 
 
 
@@ -230,6 +231,22 @@ def test_fit_beats_naive_against_mc_ground_truth(so3):
     err_naive = np.linalg.norm(so3.log(np.linalg.inv(naive) @ truth))
     assert err_fit < 1e-3
     assert err_fit < err_naive
+
+
+def test_fit_evaluates_the_inverse_jacobian_once():
+    group = SO3()
+    calls = []
+
+    def counting(x):
+        calls.append(np.shape(x))
+        return SO3.left_jacobian_inv(group, x)
+
+    group.left_jacobian_inv = counting
+    cov = np.diag([0.02, 0.03, 0.01])
+    for cfg in (ExpectationConfig(), ExpectationConfig("monte-carlo", 1000, 3)):
+        calls.clear()
+        fit_mean_covariance(group, np.array([0.05, -0.02, 0.01]), cov, np.eye(3), cfg)
+        assert len(calls) == 1
 
 
 def test_fit_warns_outside_concentrated_regime(so3):

@@ -163,6 +163,13 @@ def test_generic_exp_and_adjoint_fallbacks(so3, generic_so3):
         assert np.abs(generic_so3.adjoint(g) - g).max() < 1e-12
 
 
+def test_exp_and_jacobians_of_an_empty_batch_are_empty(so3, se3):
+    for group in (so3, se3):
+        empty = np.zeros((0, group.dim))
+        assert group.exp(empty).shape == (0, group.mat_size, group.mat_size)
+        assert group.left_jacobian(empty).shape == (0, group.dim, group.dim)
+
+
 def test_generic_series_matches_closed_forms(so3, generic_so3):
     rng = np.random.default_rng(2)
     for x in random_ball(rng, 2.0, count=10):

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from liefilter.distribution import cubature_points
 from liefilter.errors import StepRejectedError
 from liefilter.propagation import (
     PropagationConfig,
     PropagationState,
-    _velocities,
-    covariance_velocity,
     export_trajectory_csv,
-    mean_velocity,
+    moment_velocities,
     propagate,
 )
 from liefilter.sde import SdeModel
@@ -36,17 +35,16 @@ def test_velocities_vanish_without_drift_or_noise(so3):
     model = SdeModel(const(np.zeros(3)), const(np.zeros((3, 3))))
     state = PropagationState(so3.exp(np.array([0.2, 0.1, 0.4])),
                              0.05 * np.eye(3), 0.0)
-    cfg = PropagationConfig()
-    v = mean_velocity(so3, state, model, cfg)
+    v, dcov = moment_velocities(so3, state, model, PropagationConfig())
     assert np.abs(v).max() < 1e-15
-    assert np.abs(covariance_velocity(so3, state, model, v, cfg)).max() < 1e-15
+    assert np.abs(dcov).max() < 1e-15
 
 
 def test_mean_velocity_at_zero_cov_is_plain_drift(so3):
     model = SdeModel(nonlinear_so3_drift, const(np.zeros((3, 3))))
     mu = so3.exp(np.array([0.3, -0.2, 0.1]))
     state = PropagationState(mu, np.zeros((3, 3)), 0.0)
-    v = mean_velocity(so3, state, model, PropagationConfig())
+    v, _ = moment_velocities(so3, state, model, PropagationConfig())
     assert np.abs(v - nonlinear_so3_drift(mu, 0.0)).max() < 1e-14
 
 
@@ -54,9 +52,7 @@ def test_covariance_velocity_at_zero_cov_is_diffusion_square(so3):
     big_h = np.array([[0.2, 0.05, 0.0], [0.0, 0.1, 0.02], [0.01, 0.0, 0.15]])
     model = SdeModel(const(np.zeros(3)), const(big_h))
     state = PropagationState(np.eye(3), np.zeros((3, 3)), 0.0)
-    cfg = PropagationConfig()
-    v = mean_velocity(so3, state, model, cfg)
-    dcov = covariance_velocity(so3, state, model, v, cfg)
+    _, dcov = moment_velocities(so3, state, model, PropagationConfig())
     assert np.abs(dcov - big_h @ big_h.T).max() < 1e-14
 
 
@@ -68,10 +64,8 @@ def test_abelian_velocities_match_linear_moment_equations(diag3):
     q = np.array([0.4, -0.1, 0.6])
     cov = np.array([[0.05, 0.01, 0.0], [0.01, 0.04, 0.005], [0.0, 0.005, 0.06]])
     state = PropagationState(diag3.exp(q), cov, 0.0)
-    cfg = PropagationConfig()
-    v = mean_velocity(diag3, state, model, cfg)
+    v, dcov = moment_velocities(diag3, state, model, PropagationConfig())
     assert np.abs(v - (A @ q + b)).max() < 1e-13
-    dcov = covariance_velocity(diag3, state, model, v, cfg)
     assert np.abs(dcov - (A @ cov + cov @ A.T + big_h @ big_h.T)).max() < 1e-13
 
 
@@ -82,7 +76,7 @@ def se3_drift(g, t):
 
 
 @pytest.mark.parametrize("case", ["so3", "se3"])
-def test_single_pass_matches_separate_velocities(request, case):
+def test_moment_velocities_match_per_node_transcription(request, case):
     group = request.getfixturevalue(case)
     dim = group.dim
     rng = np.random.default_rng(31)
@@ -92,12 +86,23 @@ def test_single_pass_matches_separate_velocities(request, case):
     root = 0.2 * rng.standard_normal((dim, dim))
     state = PropagationState(group.exp(0.3 * rng.standard_normal(dim)),
                              root @ root.T + 0.01 * np.eye(dim), 0.4)
-    cfg = PropagationConfig()
-    v, dcov = _velocities(group, state, model, cfg)
-    v_ref = mean_velocity(group, state, model, cfg)
-    dcov_ref = covariance_velocity(group, state, model, v_ref, cfg)
-    assert np.abs(v - v_ref).max() < 1e-14
-    assert np.abs(dcov - dcov_ref).max() < 1e-14
+    hht = big_h @ big_h.T
+    nodes = cubature_points(np.zeros(dim), state.cov)
+    jlis, fs, spreads = [], [], []
+    for x in nodes:
+        jri = group.right_jacobian_inv(x)
+        _, parts = group.right_jacobian_inv_partials(x)
+        curvature = sum(0.5 * parts[k] @ hht @ jri.T[:, k] for k in range(dim))
+        fs.append(curvature + jri @ drift(state.mean @ group.exp(x), state.t))
+        jlis.append(group.left_jacobian_inv(x))
+        spreads.append(jri @ hht @ jri.T)
+    v_ref = np.linalg.solve(np.mean(jlis, axis=0), np.mean(fs, axis=0))
+    lead = np.mean([np.outer(f - jli @ v_ref, x) for f, jli, x in zip(fs, jlis, nodes)],
+                   axis=0)
+    dcov_ref = lead + lead.T + np.mean(spreads, axis=0)
+    v, dcov = moment_velocities(group, state, model, PropagationConfig())
+    assert np.abs(v - v_ref).max() < 1e-13
+    assert np.abs(dcov - dcov_ref).max() < 1e-13
 
 
 # -- trajectories ------------------------------------------------------------------
@@ -195,6 +200,14 @@ def test_euler_integrator_available(diag3):
                      model, 0.1, PropagationConfig(dt=1e-3, integrator="euler"))
     q = diag3.log(traj[-1].mean)
     assert np.abs(q - np.exp(-0.05) * np.ones(3)).max() < 1e-3
+
+
+def test_propagate_rejects_non_positive_total_time(so3):
+    model = SdeModel(const(np.zeros(3)), const(np.zeros((3, 3))))
+    state = PropagationState(np.eye(3), 0.01 * np.eye(3), 0.0)
+    for total in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="total_time must be positive"):
+            propagate(so3, state, model, total)
 
 
 def test_step_rejected_when_covariance_turns_indefinite(diag3):
