@@ -131,14 +131,19 @@ def empirical_group_mean(group: MatrixLieGroup, samples: np.ndarray,
                          tol: float = 1e-12, max_iter: int = 100) -> MeanResult:
     """Fixed-point iteration mu <- mu exp(mean_i log(mu^-1 g_i)).
 
-    The returned residual is the norm of the mean chart-log at the final
-    iterate, i.e. the defining balance condition of the group mean evaluated
-    on the empirical measure.
+    The returned residual is the norm of the mean chart-log r at the last
+    iterate visited, i.e. the defining balance condition of the group mean
+    evaluated on the empirical measure; once it is below ``tol`` the returned
+    mean is that iterate moved by the sub-tolerance step, mu exp(r).
     """
     samples = np.asarray(samples, float)
     mu = samples[0].copy()
+    # Rows of the stacked g_i^T, so that each (mu^-1 g_i)^T = g_i^T mu^-T of an
+    # iteration is one matrix product rather than one per sample.
+    cols = np.ascontiguousarray(samples.swapaxes(-1, -2)).reshape(-1, samples.shape[-1])
     for it in range(1, max_iter + 1):
-        logs = group.log(np.linalg.inv(mu) @ samples)
+        rel = (cols @ np.linalg.inv(mu).T).reshape(samples.shape).swapaxes(-1, -2)
+        logs = group.log(rel)
         r = logs.mean(axis=0)
         residual = float(np.linalg.norm(r))
         mu = mu @ group.exp(r)

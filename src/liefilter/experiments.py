@@ -63,8 +63,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown observation model {self.model!r}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
-        if np.any(np.asarray(self.tau_grid) <= 0):
-            raise ValueError("all tau values must be positive")
+        taus = np.asarray(self.tau_grid, float)
+        if not np.all(taus > 0) or not np.all(np.isfinite(taus)):
+            raise ValueError("all tau values must be positive and finite")
 
 
 @dataclass

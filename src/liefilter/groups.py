@@ -149,16 +149,23 @@ class MatrixLieGroup:
         term, djac = A / 2, None                  # the terms A^m / (m+1)!, D_m / (m+1)!
         jac = np.eye(self.dim) + term
         if partials:
-            gens = self._struct.reshape((self.dim,) + (1,) * (A.ndim - 2) + A.shape[-2:])
-            dterm = np.broadcast_to(gens, (self.dim,) + A.shape) / 2    # D_1 = ad(e_k)
+            # D_m laid out (..., i, k, l) = d(A^m)/dx_k [i, l]: D_{m-1} A is then one
+            # product over the rows (i, k), and A^{m-1} ad(e_k) one product against
+            # gens[j, (k, l)] = ad(e_k)[j, l]
+            n, batch = self.dim, A.shape[:-2]
+            shape = batch + (n, n, n)
+            gens = np.ascontiguousarray(self._struct.transpose(1, 0, 2))
+            dterm = np.broadcast_to(gens, shape) / 2                    # D_1 = ad(e_k)
             djac = dterm.copy()
+            gens = gens.reshape(n, n * n)
         for m in range(2, last + 1):
             if partials:
-                dterm = (dterm @ A + term @ gens) / (m + 1)
+                dterm = ((dterm.reshape(batch + (n * n, n)) @ A).reshape(shape)
+                         + (term @ gens).reshape(shape)) / (m + 1)
                 djac += dterm
             term = term @ A / (m + 1)
             jac += term
-        return jac, djac
+        return jac, None if djac is None else np.moveaxis(djac, -2, 0)
 
     def left_jacobian(self, x: np.ndarray) -> np.ndarray:
         return self._checked(self._phi_series(x)[0])
@@ -410,9 +417,15 @@ class DiagonalGroup(MatrixLieGroup):
 
 def lie_derivative_right(group: MatrixLieGroup, f, g: np.ndarray, i: int,
                          step: float = 1e-5):
-    """Central-difference derivative of f along t -> f(g exp(t E_i)) at t=0."""
+    """Central-difference derivative of f along t -> f(g exp(t E_i)) at t=0.
+
+    A stack of g is shifted by one matrix product on its rows, which is the
+    stacked product bit for bit at a fraction of its per-element cost."""
     plus, minus = group._stencil(i, step)
-    return (np.asarray(f(g @ plus)) - np.asarray(f(g @ minus))) / (2 * step)
+    g = np.asarray(g, float)
+    rows = g.reshape(-1, g.shape[-1])
+    return (np.asarray(f((rows @ plus).reshape(g.shape)))
+            - np.asarray(f((rows @ minus).reshape(g.shape)))) / (2 * step)
 
 
 def lie_derivative_right_second(group: MatrixLieGroup, f, g: np.ndarray,

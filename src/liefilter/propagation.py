@@ -42,8 +42,8 @@ class PropagationConfig:
     expectation: ExpectationConfig = field(default_factory=ExpectationConfig)
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not self.dt > 0 or not np.isfinite(self.dt):
+            raise ValueError("dt must be positive and finite")
         if self.integrator not in ("rk4", "euler"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
@@ -86,8 +86,8 @@ def propagate(group: MatrixLieGroup, state0: PropagationState, model: SdeModel,
     re-projected to PSD after each step.  Raises StepRejectedError if a step
     drives the covariance indefinite beyond the 1e-8 slack before clamping.
     """
-    if not total_time > 0:
-        raise ValueError("total_time must be positive")
+    if not total_time > 0 or not np.isfinite(total_time):
+        raise ValueError("total_time must be positive and finite")
     cfg = cfg or PropagationConfig()
     steps = max(1, round(total_time / cfg.dt))
     dt = total_time / steps

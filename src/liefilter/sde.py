@@ -66,8 +66,8 @@ class PathConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.total_time <= 0:
-            raise ValueError("total_time must be positive")
+        if not self.total_time > 0 or not np.isfinite(self.total_time):
+            raise ValueError("total_time must be positive and finite")
 
     @property
     def dt(self) -> float:
@@ -160,10 +160,13 @@ def sample_parametric_path(group: MatrixLieGroup, model: ParametricSdeModel,
 
 def _ito_curvature(jri: np.ndarray, parts: np.ndarray, hht: np.ndarray) -> np.ndarray:
     """Ito curvature term (1/2) sum_k (dJ_r^-1/dx_k) H H^T J_r^-T e_k, given
-    the pair ``(jri, parts)`` of ``right_jacobian_inv_partials``; one
-    contraction over all k."""
+    the pair ``(jri, parts)`` of ``right_jacobian_inv_partials``, summed one
+    component k at a time."""
     vk = np.einsum("...ij,...kj->...ki", hht, jri)     # row k: H H^T J_r^-T e_k
-    return 0.5 * np.einsum("k...ij,...kj->...i", parts, vk)
+    total = _mv(parts[0], vk[..., 0, :])
+    for k in range(1, len(parts)):
+        total += _mv(parts[k], vk[..., k, :])
+    return 0.5 * total
 
 
 def ito_injection_to_parametric(group: MatrixLieGroup, model: SdeModel,

@@ -41,6 +41,12 @@ def se3():
     return MatrixLieGroup(basis, name="SE(3)")
 
 
+def assert_bitwise(a, b):
+    """Equal shapes, values and sign bits, so that -0.0 differs from +0.0."""
+    assert a.shape == b.shape
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def random_ball(rng, radius, count=1):
     """Uniformly scaled random directions with norms up to ``radius``."""
     v = rng.standard_normal((count, 3))

@@ -20,6 +20,7 @@ from liefilter.errors import (
 )
 from liefilter.groups import SO3
 
+from conftest import assert_bitwise
 
 
 def mc_group_mean(group, samples, start, iters=60):
@@ -140,6 +141,32 @@ def test_group_mean_residual_certificate(so3):
     res = empirical_group_mean(so3, draws, tol=1e-12)
     logs = so3.log(np.linalg.inv(res.mean) @ draws)
     assert np.linalg.norm(logs.mean(axis=0)) < 1e-12
+
+
+def _group_mean_stacked(group, samples, tol=1e-12, max_iter=100):
+    """The fixed point with one stacked inv(mu) @ samples per iteration."""
+    mu = samples[0].copy()
+    for it in range(1, max_iter + 1):
+        r = group.log(np.linalg.inv(mu) @ samples).mean(axis=0)
+        residual = float(np.linalg.norm(r))
+        mu = mu @ group.exp(r)
+        if residual < tol:
+            return mu, residual, it
+    raise AssertionError("reference did not converge")
+
+
+def test_group_mean_matches_stacked_products_bitwise(so3, diag3):
+    rng = np.random.default_rng(47)
+    rot = sample(so3, ConcentratedGaussian(so3.exp(np.array([0.4, -0.2, 0.9])),
+                                           0.05 * np.eye(3)), 2_000, seed=8)
+    strided = np.swapaxes(np.ascontiguousarray(np.swapaxes(rot, -1, -2)), -1, -2)[::3]
+    cases = [(so3, rot), (so3, strided),
+             (diag3, diag3.exp(rng.standard_normal((500, 3)) * 0.3))]
+    for group, samples in cases:
+        res = empirical_group_mean(group, samples)
+        mu, residual, it = _group_mean_stacked(group, samples)
+        assert_bitwise(res.mean, mu)
+        assert res.residual == residual and res.iterations == it
 
 
 def test_frechet_single_sample(so3):

@@ -101,6 +101,12 @@ def test_single_sample_perfect_observation_costs_vanish():
     assert rec.c2_plain < 1e-25 and rec.c2_modified < 1e-25
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan"), float("inf")])
+def test_experiment_config_rejects_bad_tau(bad):
+    with pytest.raises(ValueError, match="all tau values must be positive"):
+        ExperimentConfig(tau_grid=np.array([1e-3, bad]))
+
+
 @pytest.mark.parametrize("model", ["euclidean", "group"])
 def test_sweep_smoke_and_determinism(model):
     cfg = ExperimentConfig(model=model, sample_count=40,

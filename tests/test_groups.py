@@ -10,7 +10,7 @@ from liefilter.groups import (
     lie_derivative_right_second,
 )
 
-from conftest import random_ball
+from conftest import assert_bitwise, random_ball
 
 
 def series_expm(X, terms=30):
@@ -314,11 +314,6 @@ def _row(out, name, idx):
     return out[(slice(None),) + idx] if name.endswith("partials") else out[idx]
 
 
-def _assert_bitwise(a, b):
-    assert a.shape == b.shape
-    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 @pytest.mark.parametrize("batch", [(), (12,), (2, 5)])
 def test_so3_kernels_rows_bitwise_and_match_series(so3, generic_so3, batch):
     rows = _kernel_rows()
@@ -326,12 +321,12 @@ def test_so3_kernels_rows_bitwise_and_match_series(so3, generic_so3, batch):
         fn = _kernel(so3, name)
         if batch == ():     # one vector against a batch of one, row by row
             for x in rows:
-                _assert_bitwise(fn(x), _row(fn(x[None]), name, (0,)))
+                assert_bitwise(fn(x), _row(fn(x[None]), name, (0,)))
             continue
         xs = rows[:int(np.prod(batch))].reshape(batch + (3,))
         got = fn(xs)
         for idx in np.ndindex(*batch):
-            _assert_bitwise(_row(got, name, idx), fn(xs[idx]))
+            assert_bitwise(_row(got, name, idx), fn(xs[idx]))
         # Against the phi series, to 1e-14 for |x| <= 1
         norm = np.linalg.norm(xs, axis=-1)
         err = np.abs(got - _kernel(generic_so3, name)(xs))
@@ -340,7 +335,7 @@ def test_so3_kernels_rows_bitwise_and_match_series(so3, generic_so3, batch):
     if batch:       # the pair's J^-1 is the inverse Jacobian bit for bit
         for side in ("left", "right"):
             pair = getattr(so3, f"{side}_jacobian_inv_partials")(xs)
-            _assert_bitwise(pair[0], getattr(so3, f"{side}_jacobian_inv")(xs))
+            assert_bitwise(pair[0], getattr(so3, f"{side}_jacobian_inv")(xs))
 
 
 def test_chart_boundary_decisions(so3):
@@ -414,6 +409,30 @@ def test_lie_derivative_linear_map_analytic(so3):
         exact = so3.basis[i].T @ v            # d/dt (exp(tE_i))^T v at t=0
         got = lie_derivative_right(so3, f, np.eye(3), i)
         assert np.abs(got - exact).max() < 1e-8
+
+
+def test_lie_derivative_stack_matches_per_element_products(so3, se3):
+    # The stack is shifted as one product on its rows; it must hand f the
+    # per-element products g @ exp(+-s E_i) bit for bit, for a non-contiguous
+    # view too.
+    rng = np.random.default_rng(37)
+    view = so3.exp(rng.standard_normal((4, 6, 3)))[:, ::2].swapaxes(-1, -2)
+    cases = [(so3, so3.exp(rng.standard_normal((2, 5, 3)))), (so3, view),
+             (se3, se3.exp(rng.standard_normal((7, 6))))]
+    step = 1e-5
+    for group, g in cases:
+        for i in range(group.dim):
+            seen = []
+            got = lie_derivative_right(group, lambda h: seen.append(h) or h, g, i, step)
+            want = []
+            for shift in group._stencil(i, step):
+                ref = np.empty(g.shape)
+                for idx in np.ndindex(*g.shape[:-2]):
+                    ref[idx] = g[idx] @ shift
+                want.append(ref)
+            assert_bitwise(seen[0], want[0])
+            assert_bitwise(seen[1], want[1])
+            assert_bitwise(got, (want[0] - want[1]) / (2 * step))
 
 
 def test_lie_second_derivative_linear_map_analytic(so3):

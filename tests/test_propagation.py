@@ -205,9 +205,15 @@ def test_euler_integrator_available(diag3):
 def test_propagate_rejects_non_positive_total_time(so3):
     model = SdeModel(const(np.zeros(3)), const(np.zeros((3, 3))))
     state = PropagationState(np.eye(3), 0.01 * np.eye(3), 0.0)
-    for total in (-1.0, 0.0, float("nan")):
+    for total in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="total_time must be positive"):
             propagate(so3, state, model, total)
+
+
+def test_propagation_config_rejects_bad_dt():
+    for dt in (-1e-2, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            PropagationConfig(dt=dt)
 
 
 def test_step_rejected_when_covariance_turns_indefinite(diag3):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liefilter.distribution import cubature_points
 from liefilter.errors import DomainExitError
 from liefilter.sde import (
     ITO,
@@ -14,8 +15,11 @@ from liefilter.sde import (
     sample_parametric_path,
     stratonovich_injection_to_parametric,
     stratonovich_to_ito,
+    _ito_curvature,
     wiener_halves,
 )
+
+from conftest import assert_bitwise
 
 
 def const(value):
@@ -133,6 +137,9 @@ def test_path_config_validation():
         PathConfig(total_time=1.0, steps=0, seed=0)
     with pytest.raises(ValueError):
         PathConfig(total_time=-1.0, steps=5, seed=0)
+    for total in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="total_time must be positive and finite"):
+            PathConfig(total_time=total, steps=5, seed=0)
 
 
 def test_parametric_domain_exit_reports_step(so3):
@@ -184,6 +191,26 @@ def test_injection_drift_correction_matches_fd_assembly(so3, big_h):
             corr += 0.5 * part @ (hht @ jrt_inv[:, k])
         expected = so3.right_jacobian(x) @ corr
         assert np.abs(got - expected).max() / max(np.abs(expected).max(), 1e-12) < 1e-6
+
+
+def test_ito_curvature_matches_single_contraction_bitwise(so3, se3):
+    # Summed one component at a time, the curvature must equal the single
+    # four-index contraction bit for bit.
+    def contraction(jri, parts, hht):
+        vk = np.einsum("...ij,...kj->...ki", hht, jri)
+        return 0.5 * np.einsum("k...ij,...kj->...i", parts, vk)
+
+    rng = np.random.default_rng(53)
+    rows = rng.standard_normal((1_000, 3)) * 0.9
+    rows[0] = 0.0
+    root6 = rng.standard_normal((6, 6)) * 0.3
+    nodes = cubature_points(np.zeros(6), root6 @ root6.T)
+    for group, x in ((so3, rows), (se3, nodes)):
+        big = rng.standard_normal((group.dim, group.dim)) * 0.2
+        pair = group.right_jacobian_inv_partials(x)
+        per_row = big * x[:, :, None]                   # a state-dependent H
+        for hht in (big @ big.T, per_row @ np.swapaxes(per_row, -1, -2)):
+            assert_bitwise(_ito_curvature(*pair, hht), contraction(*pair, hht))
 
 
 # -- Stratonovich <-> Ito -----------------------------------------------------------
