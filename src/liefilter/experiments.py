@@ -14,6 +14,7 @@ independent of evaluation order.
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -61,8 +62,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model not in ("euclidean", "group"):
             raise ValueError(f"unknown observation model {self.model!r}")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        if not isinstance(self.sample_count, numbers.Integral) or self.sample_count < 1:
+            raise ValueError("sample_count must be an integer >= 1")
         taus = np.asarray(self.tau_grid, float)
         if not np.all(taus > 0) or not np.all(np.isfinite(taus)):
             raise ValueError("all tau values must be positive and finite")

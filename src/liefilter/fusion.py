@@ -154,14 +154,24 @@ def _linearize(group: MatrixLieGroup, func: Callable[[np.ndarray], np.ndarray],
                mu: np.ndarray, P: np.ndarray, step: float = _DERIVATIVE_STEP
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Linearization of ``func`` at the prior mean: k(mu), the (M, N) right
-    Lie derivative slopes and the curvature P_ij (E_i^r E_j^r k).  It depends
+    Lie derivative slopes and the curvature P_ij (E_i^r E_j^r k).  Its N^2
+    second derivatives come from one stencil call, which calls ``func`` on
+    flat (N^2, n, n) stacks, and are summed in (i, j) order.  It depends
     only on the prior, so observations sharing a prior can share it."""
     dim = group.dim
+    k_mu = np.asarray(func(mu), float)
     slopes = np.stack([lie_derivative_right(group, func, mu, i, step)
                        for i in range(dim)], axis=1)       # (M, N)
-    bend = sum(P[i, j] * lie_derivative_right_second(group, func, mu, i, j, step)
-               for i in range(dim) for j in range(dim))
-    return np.asarray(func(mu), float), slopes, bend
+    axis = np.arange(dim)
+    second = lie_derivative_right_second(group, func, mu, np.repeat(axis, dim),
+                                         np.tile(axis, dim), step)
+    if second.shape != (dim * dim,) + k_mu.shape:
+        raise ValueError(f"the observation map gave shape {second.shape} for "
+                         f"{dim * dim} stacked group elements, not "
+                         f"{(dim * dim,) + k_mu.shape}: it must broadcast over "
+                         "stacked elements")
+    bend = sum(P.reshape(dim * dim, 1) * second)
+    return k_mu, slopes, bend
 
 
 def _kalman_step(linearization: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -190,7 +200,9 @@ def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
     plain variant.  Terms quadratic in the prior covariance are dropped.
     A batch ``z`` of shape ``(..., M)`` shares the prior, the gain and the
     curvature term, and gives a mean ``(..., n, n)`` and covariance
-    ``(..., N, N)``; ``obs.func`` is only called on single group elements.
+    ``(..., N, N)``.  ``obs.func`` must broadcast over stacked group
+    elements, ``(..., n, n)`` to ``(..., M)``: the curvature stencil calls it
+    on (N^2, n, n) stacks, and a map that does not gives a ``ValueError``.
     """
     mu = np.asarray(prior.mean, float)
     P = symmetrize(np.asarray(prior.cov, float))

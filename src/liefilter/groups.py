@@ -52,6 +52,15 @@ _DET_TOL = 1e-12
 _LOG_SERIES_TOL = log(1e-17)
 
 
+def _last_term(log_norm: float, shift: int) -> int:
+    """The first m >= 1 with norm^m / (m + shift)! < 1e-17: the last term
+    to sum of a series whose m-th term is bounded by that."""
+    m = 1
+    while m * log_norm - lgamma(m + shift + 1) >= _LOG_SERIES_TOL:
+        m += 1
+    return m
+
+
 class MatrixLieGroup:
     """Descriptor for an N-dimensional unimodular matrix Lie group.
 
@@ -86,7 +95,7 @@ class MatrixLieGroup:
         brackets = brackets - np.einsum("jab,ibc->ijac", basis, basis)
         veed = brackets.reshape(self.dim, self.dim, -1) @ self._vee_map  # (i, j, k)
         self._struct = np.moveaxis(veed, 2, 1)
-        self._stencils: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._stencils: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- wedge / vee -------------------------------------------------------
     def wedge(self, x: np.ndarray) -> np.ndarray:
@@ -106,14 +115,16 @@ class MatrixLieGroup:
 
     # -- exponential chart -------------------------------------------------
     def exp(self, x: np.ndarray) -> np.ndarray:
-        """Matrix exponential of wedge(x), scaling-and-squaring fallback."""
+        """Matrix exponential of wedge(x), scaling-and-squaring fallback: the
+        batch's largest infinity-norm is scaled to r <= 0.25 and the Taylor
+        series summed through the first k with r^k / k! < 1e-17."""
         X = self.wedge(x)
-        norm = float(np.abs(X).sum(axis=-1).max(initial=0.0))
-        squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.25))))
+        norm = max(float(np.abs(X).sum(axis=-1).max(initial=0.0)), 1e-300)
+        squarings = max(0, int(np.ceil(np.log2(norm / 0.25))))
         Y = X / (2.0 ** squarings)
         out = np.broadcast_to(np.eye(self.mat_size), Y.shape).copy()
         term = out.copy()
-        for k in range(1, 24):
+        for k in range(1, _last_term(log(norm / 2.0 ** squarings), 0) + 1):
             term = term @ Y / k
             out = out + term
         for _ in range(squarings):
@@ -140,12 +151,10 @@ class MatrixLieGroup:
         """``(J_l, dJ_l)``: J_l = phi(ad x) and, with ``partials``, its dim
         partial derivatives (dim, ..., N, N), else None; both summed through
         the first m with ||A||_1^m / (m+1)! < 1e-17, A = ad(x), for the batch's
-        largest ||A||_1 (as ``exp`` sizes its squarings from the input)."""
+        largest ||A||_1 (as ``exp`` sizes its series from the input)."""
         A = self.ad(x)
-        log_norm = log(max(float(np.abs(A).sum(axis=-2).max(initial=0.0)), 1e-300))
-        last = 1
-        while last * log_norm - lgamma(last + 2) >= _LOG_SERIES_TOL:
-            last += 1
+        norm = max(float(np.abs(A).sum(axis=-2).max(initial=0.0)), 1e-300)
+        last = _last_term(log(norm), 1)
         term, djac = A / 2, None                  # the terms A^m / (m+1)!, D_m / (m+1)!
         jac = np.eye(self.dim) + term
         if partials:
@@ -202,14 +211,16 @@ class MatrixLieGroup:
         return J
 
     # -- one-parameter subgroup stencils (cached) ----------------------------
-    def _stencil(self, i: int, step: float) -> tuple[np.ndarray, np.ndarray]:
-        key = (i, step)
-        if key not in self._stencils:
-            e = np.zeros(self.dim)
-            e[i] = step
-            self._stencils[key] = (self.exp(e), self.exp(-e))
-        return self._stencils[key]
-
+    def _stencil(self, i, step: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(exp(step E_i), exp(-step E_i))`` for an integer or integer array
+        ``i``, indexed from the step's cached stacks over every direction,
+        (N, n, n) each; every direction is its own ``exp`` call."""
+        if step not in self._stencils:
+            shifts = np.diag(np.full(self.dim, float(step)))
+            self._stencils[step] = (np.stack([self.exp(e) for e in shifts]),
+                                    np.stack([self.exp(-e) for e in shifts]))
+        plus, minus = self._stencils[step]
+        return plus[i], minus[i]
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))     # (k, i, j): SO(3) K_ij = -x_k, E_k[i, j] = -1
 
@@ -429,12 +440,19 @@ def lie_derivative_right(group: MatrixLieGroup, f, g: np.ndarray, i: int,
 
 
 def lie_derivative_right_second(group: MatrixLieGroup, f, g: np.ndarray,
-                                i: int, j: int, step: float = 1e-5):
-    """Nested central-difference stencil for the iterated right derivative."""
+                                i, j, step: float = 1e-5):
+    """Nested central-difference stencil for the iterated right derivative
+    E_i^r E_j^r f at g.
+
+    ``i`` and ``j`` may be integer arrays that broadcast against each other
+    (and against g's stack axes); the four calls of f then take the stacks
+    g exp(+-s E_i) exp(+-s E_j), each element the per-pair product bit for
+    bit.  With scalar indices f gets g's own shape."""
     pi, mi = group._stencil(i, step)
     pj, mj = group._stencil(j, step)
-    val = (np.asarray(f(g @ pi @ pj)) - np.asarray(f(g @ pi @ mj))
-           - np.asarray(f(g @ mi @ pj)) + np.asarray(f(g @ mi @ mj)))
+    gp, gm = g @ pi, g @ mi
+    val = (np.asarray(f(gp @ pj)) - np.asarray(f(gp @ mj))
+           - np.asarray(f(gm @ pj)) + np.asarray(f(gm @ mj)))
     return val / (4 * step * step)
 
 

@@ -21,6 +21,7 @@ equivalence checks into strong, paired ones.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,8 +65,8 @@ class PathConfig:
     path_count: int = 1
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if not isinstance(self.steps, numbers.Integral) or self.steps < 1:
+            raise ValueError("steps must be an integer >= 1")
         if not self.total_time > 0 or not np.isfinite(self.total_time):
             raise ValueError("total_time must be positive and finite")
 

@@ -107,6 +107,13 @@ def test_experiment_config_rejects_bad_tau(bad):
         ExperimentConfig(tau_grid=np.array([1e-3, bad]))
 
 
+@pytest.mark.parametrize("count", [0, -3, 2.5, float("nan"), np.float64(8.0)])
+def test_experiment_config_rejects_a_non_integral_sample_count(count):
+    with pytest.raises(ValueError, match="sample_count must be an integer >= 1"):
+        ExperimentConfig(sample_count=count)
+    assert ExperimentConfig(sample_count=np.int64(8)).sample_count == 8
+
+
 @pytest.mark.parametrize("model", ["euclidean", "group"])
 def test_sweep_smoke_and_determinism(model):
     cfg = ExperimentConfig(model=model, sample_count=40,
@@ -228,8 +235,8 @@ def test_euclidean_sweep_matches_per_tau_public_fusion(so3):
 
 
 def test_euclidean_sweep_linearizes_once(monkeypatch):
-    """k(mu), two evaluations per slope and four per curvature stencil once
-    per sweep, plus one batched reading of the truths per tau."""
+    """k(mu), two evaluations per slope and four for all N^2 curvature
+    stencils once per sweep, plus one batched reading of the truths per tau."""
     calls = []
 
     def counted(rotation):
@@ -242,7 +249,7 @@ def test_euclidean_sweep_linearizes_once(monkeypatch):
     with pytest.warns(NonConcentratedWarning):
         run_sweep(cfg)
     dim = 3
-    assert len(calls) == 1 + 2 * dim + 4 * dim ** 2 + len(taus)
+    assert len(calls) == 1 + 2 * dim + 4 + len(taus)
 
 
 # -- CSV / gnuplot emission ------------------------------------------------------------

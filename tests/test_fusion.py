@@ -5,6 +5,7 @@ from liefilter.distribution import ConcentratedGaussian, fit_mean_covariance
 from liefilter.fusion import (
     ObservationModelEuclidean,
     ObservationModelGroup,
+    _linearize,
     cost_c1,
     cost_c2,
     fuse_euclidean,
@@ -12,6 +13,9 @@ from liefilter.fusion import (
     gaussian_update_general,
 )
 from liefilter.experiments import measure_euclidean
+from liefilter.groups import lie_derivative_right, lie_derivative_right_second
+
+from conftest import assert_bitwise
 
 
 def so3_ad_matrices():
@@ -303,9 +307,9 @@ def test_singular_innovation_raises(so3):
     # duplicated observation rows with zero noise make S rank deficient
     v = np.array([0.0, 0.0, -9.82])
 
-    def doubled(g):
-        w = g.T @ v
-        return np.concatenate([w, w])
+    def doubled(g):                     # broadcasts over stacked elements, as required
+        w = np.einsum("...ji,j->...i", g, v)
+        return np.concatenate([w, w], axis=-1)
 
     obs = ObservationModelEuclidean(doubled, np.zeros((6, 6)))
     prior = ConcentratedGaussian(np.eye(3), 0.05 * np.eye(3))
@@ -356,3 +360,56 @@ def test_fuse_batch_matches_per_observation_calls(so3, model, modified, batch):
         single = fuse(so3, prior, obs, z[idx], modified=modified)
         assert np.abs(post.mean[idx] - single.mean).max() <= 1e-14
         assert np.abs(post.cov[idx] - single.cov).max() <= 1e-14
+
+
+# -- linearization -------------------------------------------------------------------
+
+def per_pair_linearization(group, func, mu, P, step=1e-5):
+    """The linearization with one curvature stencil call per (i, j), summed
+    in (i, j) order."""
+    dim = group.dim
+    slopes = np.stack([lie_derivative_right(group, func, mu, i, step)
+                       for i in range(dim)], axis=1)
+    bend = sum(P[i, j] * lie_derivative_right_second(group, func, mu, i, j, step)
+               for i in range(dim) for j in range(dim))
+    return np.asarray(func(mu), float), slopes, bend
+
+
+def measure_se3(pose):
+    """Body-frame gravity direction and world position of SE(3) poses."""
+    down = np.einsum("...ji,j->...i", pose[..., :3, :3], np.array([0.0, 0.0, -1.0]))
+    return np.concatenate([down, pose[..., :3, 3]], axis=-1)
+
+
+@pytest.mark.parametrize("name", ["so3", "se3"])
+def test_linearize_matches_per_pair_stencils_bitwise(request, name):
+    group = request.getfixturevalue(name)
+    func = measure_euclidean if name == "so3" else measure_se3
+    rng = np.random.default_rng(53)
+    mu = group.exp(0.8 * rng.standard_normal(group.dim))
+    A = rng.standard_normal((group.dim, group.dim))
+    P = A @ A.T / group.dim
+    calls = []
+
+    def counted(g):
+        calls.append(np.shape(g))
+        return func(g)
+
+    got = _linearize(group, counted, mu, P)
+    dim, size = group.dim, group.mat_size
+    assert calls == [(size, size)] * (1 + 2 * dim) + [(dim * dim, size, size)] * 4
+    for a, b in zip(got, per_pair_linearization(group, func, mu, P)):
+        assert_bitwise(a, b)
+
+
+def test_observation_map_that_does_not_broadcast_raises(so3):
+    # Maps written for one element at a time: g.T reverses every axis of a
+    # stack, and g[0] picks its first element instead of the first row.
+    v = np.array([0.0, 0.0, -9.82])
+    prior = ConcentratedGaussian(so3.exp(np.array([0.1, -0.2, 0.3])), 0.05 * np.eye(3))
+    transposed = ObservationModelEuclidean(lambda g: g.T @ v, 0.1 * np.eye(3))
+    with pytest.raises(ValueError):
+        fuse_euclidean(so3, prior, transposed, np.zeros(3))
+    first_row = ObservationModelEuclidean(lambda g: g[0], 0.1 * np.eye(3))
+    with pytest.raises(ValueError, match="must broadcast over stacked elements"):
+        fuse_euclidean(so3, prior, first_row, np.zeros(3))

@@ -170,6 +170,46 @@ def test_exp_and_jacobians_of_an_empty_batch_are_empty(so3, se3):
         assert group.left_jacobian(empty).shape == (0, group.dim, group.dim)
 
 
+def fixed_term_exp(group, x, terms=23):
+    """The generic exp with a fixed 23 Taylor terms after the scaling: the
+    reference for the series sized from the input."""
+    X = group.wedge(x)
+    norm = float(np.abs(X).sum(axis=-1).max(initial=0.0))
+    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.25))))
+    Y = X / 2.0 ** squarings
+    out = term = np.broadcast_to(np.eye(group.mat_size), X.shape)
+    for k in range(1, terms + 1):
+        term = term @ Y / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+@pytest.mark.parametrize("name", ["generic_so3", "se3"])
+def test_generic_exp_sized_series_matches_fixed_terms_and_oracle(request, name):
+    # The series stops at the first r^k / k! < 1e-17; that loses nothing
+    # against 23 terms.  Against series_expm in np.longdouble (scaled and
+    # squared in longdouble), each of the s squarings may double the
+    # relative rounding error, so the bound is 1e-15 * 2^s.
+    group = request.getfixturevalue(name)
+    assert group.exp(np.zeros((0, group.dim))).shape == (0, group.mat_size, group.mat_size)
+    rng = np.random.default_rng(47)
+    dirs = rng.standard_normal((6, group.dim))
+    dirs /= np.abs(group.wedge(dirs)).sum(axis=-1).max(axis=-1)[:, None]   # ||X||_inf = 1
+    for radius in np.geomspace(1e-8, 10.0, 19):
+        xs = radius * dirs
+        squarings = max(0, int(np.ceil(np.log2(np.abs(group.wedge(xs)).sum(-1).max() / 0.25))))
+        got, fixed = group.exp(xs), fixed_term_exp(group, xs)
+        for k, x in enumerate(xs):
+            scale = np.abs(fixed[k]).max()
+            assert np.abs(got[k] - fixed[k]).max() <= 1e-15 * scale
+            assert np.abs(group.exp(x) - fixed_term_exp(group, x)).max() <= 1e-15 * scale
+            X = group.wedge(x).astype(np.longdouble) / 2 ** squarings
+            oracle = np.linalg.matrix_power(series_expm(X), 2 ** squarings)
+            assert float(np.abs(got[k] - oracle).max()) <= 1e-15 * 2 ** squarings * scale
+
+
 def test_generic_series_matches_closed_forms(so3, generic_so3):
     rng = np.random.default_rng(2)
     for x in random_ball(rng, 2.0, count=10):
@@ -444,6 +484,48 @@ def test_lie_second_derivative_linear_map_analytic(so3):
             exact = (g0 @ so3.basis[i] @ so3.basis[j]).T @ v
             got = lie_derivative_right_second(so3, f, g0, i, j)
             assert np.abs(got - exact).max() < 1e-5
+
+
+@pytest.mark.parametrize("name", ["so3", "se3"])
+def test_lie_second_derivative_index_arrays_match_scalar_calls(request, name):
+    # Index arrays i = repeat(arange(N), N), j = tile(arange(N), N), as
+    # fusion's linearization passes them, hand f four flat (N^2, n, n) stacks
+    # whose elements are the per-pair stencil products bit for bit; (N, 1)
+    # against (N,) gives (N, N) stacks with the same elements.  The
+    # derivatives are the per-pair ones bit for bit.
+    group = request.getfixturevalue(name)
+    dim, size = group.dim, group.mat_size
+    rng = np.random.default_rng(43)
+    g = group.exp(0.7 * rng.standard_normal(dim))
+    v = rng.standard_normal(size)
+    seen = []
+
+    def f(h):
+        seen.append(h)
+        return np.einsum("...ji,j->...i", h, v)
+
+    axis = np.arange(dim)
+    got = lie_derivative_right_second(group, f, g, np.repeat(axis, dim), np.tile(axis, dim))
+    stacks = seen[:]
+    assert [h.shape for h in stacks] == [(dim * dim, size, size)] * 4
+    assert got.shape == (dim * dim, size)
+    seen.clear()
+    square = lie_derivative_right_second(group, f, g, axis[:, None], axis)
+    assert [h.shape for h in seen] == [(dim, dim, size, size)] * 4
+    for flat, grid in zip(stacks, seen):
+        assert_bitwise(flat, grid.reshape(flat.shape))
+    assert_bitwise(got, square.reshape(got.shape))
+    shifts = np.diag(np.full(dim, 1e-5))
+    for i in range(dim):
+        for j in range(dim):
+            k = i * dim + j
+            assert_bitwise(stacks[0][k], g @ group.exp(shifts[i]) @ group.exp(shifts[j]))
+            seen.clear()
+            want = lie_derivative_right_second(group, f, g, i, j)
+            assert [h.shape for h in seen] == [(size, size)] * 4
+            for stack, single in zip(stacks, seen):
+                assert_bitwise(stack[k], single)
+            assert_bitwise(got[k], want)
 
 
 # -- chart expansion and truncated BCH ------------------------------------------

@@ -140,6 +140,10 @@ def test_path_config_validation():
     for total in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="total_time must be positive and finite"):
             PathConfig(total_time=total, steps=5, seed=0)
+    for steps in (0, 2.5, float("nan"), np.float64(3.0)):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            PathConfig(total_time=1.0, steps=steps, seed=0)
+    assert PathConfig(total_time=1.0, steps=np.int64(4), seed=0).dt == 0.25
 
 
 def test_parametric_domain_exit_reports_step(so3):
