@@ -70,11 +70,16 @@ class PosteriorCoordinates:
 
 
 def _solve_gain(S: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The gain C S^-1 for an innovation covariance S, or a stack (..., M, M)
+    of them, each with its own gain."""
     S = symmetrize(S)
-    if np.linalg.cond(S) > _COND_LIMIT:
+    cond = np.linalg.cond(S)
+    if np.any(cond > _COND_LIMIT):
+        first = np.argwhere(cond > _COND_LIMIT)[0]             # empty for one S
+        where = f" at stack index {tuple(int(k) for k in first)}" if len(first) else ""
         raise InnovationSingularError(
-            f"innovation covariance condition number exceeds {_COND_LIMIT:.0e}")
-    return np.linalg.solve(S, C.T).T
+            f"innovation covariance condition number exceeds {_COND_LIMIT:.0e}{where}")
+    return np.swapaxes(np.linalg.solve(S, np.swapaxes(C, -1, -2)), -1, -2)
 
 
 def gaussian_update_general(group: MatrixLieGroup,
@@ -124,29 +129,39 @@ def gaussian_update_general(group: MatrixLieGroup,
     return PosteriorCoordinates(m, cov, predicted, S, C, K)
 
 
+def _per_sample(cov: np.ndarray) -> np.ndarray:
+    """The chart covariance broadcast against its chart means: one ``(N, N)``
+    serves means ``(..., N)`` as it is, and a stack ``(T, N, N)`` serves
+    means ``(T, S, N)`` through an inserted sample axis."""
+    return cov if cov.ndim == 2 else cov[..., None, :, :]
+
+
 def _modification(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form correction m' = (I - (1/12) cov_ij ad_i ad_j) m and the
     matching covariance adjustment sym((1/2) cov_ij ad_i m' e_j^T), for
-    chart means ``(..., N)`` sharing one covariance."""
+    chart means ``(..., N)`` sharing one covariance ``(N, N)``, or means
+    ``(T, S, N)`` with one covariance per leading index, ``(T, N, N)``."""
     dim = group.dim
     ad_basis = group.ad(np.eye(dim))                       # ad_basis[i] = ad(e_i)
-    quad = np.einsum("ij,iab,jbc->ac", cov, ad_basis, ad_basis)
-    m_prime = m @ (np.eye(dim) - quad / 12.0).T
+    quad = np.einsum("...ij,iab,jbc->...ac", cov, ad_basis, ad_basis)
+    m_prime = m @ np.swapaxes(np.eye(dim) - quad / 12.0, -1, -2)
     adm = np.einsum("iab,...b->...ia", ad_basis, m_prime)  # row i = ad_i m'
-    bump = 0.5 * np.einsum("ij,...ia->...aj", cov, adm)
+    cov = _per_sample(cov)
+    bump = 0.5 * np.einsum("...ij,...ia->...aj", cov, adm)
     return m_prime, cov + bump + np.swapaxes(bump, -1, -2)
 
 
 def _posterior(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,
                cov: np.ndarray, modified: bool) -> ConcentratedGaussian:
     """Map chart means ``(..., N)`` and the shared, already projected chart
-    covariance to the group posterior, with or without the correction."""
+    covariance (or ``(T, N, N)`` for means ``(T, S, N)``) to the group
+    posterior, with or without the correction."""
     if modified:
         m, cov = _modification(group, m, cov)
         cov = project_psd(cov)
     else:
-        cov = np.broadcast_to(cov, m.shape[:-1] + cov.shape).copy()
+        cov = np.broadcast_to(_per_sample(cov), m.shape[:-1] + cov.shape[-2:]).copy()
     return ConcentratedGaussian(mu @ group.exp(m), cov)
 
 
@@ -179,13 +194,16 @@ def _kalman_step(linearization: tuple[np.ndarray, np.ndarray, np.ndarray],
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Chart means ``(..., N)`` and the shared projected chart covariance for
     observations ``z`` of shape ``(..., M)``, given the linearization, the
-    symmetrized prior covariance ``P`` and noise covariance ``R``."""
+    symmetrized prior covariance ``P`` and noise covariance ``R``.  A stack
+    ``R`` of shape ``(T, M, M)`` meets observations ``(T, S, M)`` and gives
+    means ``(T, S, N)`` and one covariance per leading index, ``(T, N, N)``."""
     k_mu, slopes, bend = linearization
     S = slopes @ P @ slopes.T + R
     C = P @ slopes.T
     K = _solve_gain(S, C)
-    m = (z - k_mu - 0.5 * bend) @ K.T
-    return m, project_psd(P - K @ S @ K.T)
+    K_t = np.swapaxes(K, -1, -2)
+    m = (z - k_mu - 0.5 * bend) @ K_t
+    return m, project_psd(P - K @ S @ K_t)
 
 
 def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
@@ -200,7 +218,10 @@ def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
     plain variant.  Terms quadratic in the prior covariance are dropped.
     A batch ``z`` of shape ``(..., M)`` shares the prior, the gain and the
     curvature term, and gives a mean ``(..., n, n)`` and covariance
-    ``(..., N, N)``.  ``obs.func`` must broadcast over stacked group
+    ``(..., N, N)``.  A stack ``obs.noise_cov`` of shape ``(T, M, M)`` meets
+    observations ``(T, S, M)``: each leading index gets its own gain and chart
+    covariance, and the posterior has mean ``(T, S, n, n)`` and covariance
+    ``(T, S, N, N)``.  ``obs.func`` must broadcast over stacked group
     elements, ``(..., n, n)`` to ``(..., M)``: the curvature stencil calls it
     on (N^2, n, n) stacks, and a map that does not gives a ``ValueError``.
     """
@@ -212,17 +233,30 @@ def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
     return _posterior(group, mu, m, cov, modified)
 
 
+def _group_step(P: np.ndarray, R: np.ndarray, y: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Chart means ``(..., N)`` and the shared projected chart covariance for
+    full-state innovations ``y = log(mu^-1 g_z)`` of shape ``(..., N)``,
+    given the symmetrized prior and noise covariances; a stack ``R`` of
+    shape ``(T, N, N)`` meets innovations ``(T, S, N)`` as in
+    :func:`_kalman_step`."""
+    gain_t = np.linalg.solve(np.swapaxes(P + R, -1, -2), P.T)    # (P (P+R)^-1)^T
+    return y @ gain_t, project_psd(P - np.swapaxes(gain_t, -1, -2) @ P)
+
+
 def fuse_group(group: MatrixLieGroup, prior: ConcentratedGaussian,
                obs: ObservationModelGroup, g_z: np.ndarray,
                modified: bool = True) -> ConcentratedGaussian:
     """Closed-form update for a full-state observation on the same group;
-    a batch ``g_z`` of shape ``(..., n, n)`` shares the prior and the gain."""
+    a batch ``g_z`` of shape ``(..., n, n)`` shares the prior and the gain.
+    A stack ``obs.noise_cov`` of shape ``(T, N, N)`` meets observations
+    ``(T, S, n, n)``: each leading index gets its own gain, and the
+    posterior has mean ``(T, S, n, n)`` and covariance ``(T, S, N, N)``."""
     mu = np.asarray(prior.mean, float)
     P = symmetrize(np.asarray(prior.cov, float))
     R = symmetrize(np.asarray(obs.noise_cov, float))
     y = group.log(np.linalg.inv(mu) @ np.asarray(g_z, float))
-    gain = np.linalg.solve((P + R).T, P.T).T               # P (P+R)^-1
-    return _posterior(group, mu, y @ gain.T, project_psd(P - gain @ P), modified)
+    return _posterior(group, mu, *_group_step(P, R, y), modified)
 
 
 def cost_c1(group: MatrixLieGroup, truths: np.ndarray,

@@ -161,15 +161,15 @@ def test_sweep_excludes_a_failed_scoring_pairwise(so3, monkeypatch, caplog):
     taus = np.array([1e-2, 1e-1])
     truths, e_plain, e_mod = _per_sample_group_sweep(so3, seed, taus, count)
     half_turn = np.diag([1.0, -1.0, -1.0])
+    posterior = experiments._posterior
 
-    def first_sample_flipped(group, prior, obs, g_z, modified=True):
-        post = fuse_group(group, prior, obs, g_z, modified=modified)
-        j = int(np.argmin(np.abs(taus * GROUP_NOISE_SHAPE[0, 0] - obs.noise_cov[0, 0])))
-        if modified == (j == 1):
-            post.mean[0] = truths[j, 0] @ half_turn
+    def first_sample_flipped(group, mu, m, cov, modified):
+        post = posterior(group, mu, m, cov, modified)
+        j = int(modified)                   # plain at tau 0, corrected at tau 1
+        post.mean[j, 0] = truths[j, 0] @ half_turn
         return post
 
-    monkeypatch.setattr(experiments, "fuse_group", first_sample_flipped)
+    monkeypatch.setattr(experiments, "_posterior", first_sample_flipped)
     cfg = ExperimentConfig(model="group", sample_count=count, tau_grid=taus, seed=seed)
     with caplog.at_level(logging.WARNING, logger=experiments.__name__), \
             pytest.warns(NonConcentratedWarning):
@@ -209,7 +209,7 @@ def test_draw_streams_batched_screen_matches_per_sample_loop(so3):
 
 
 def test_euclidean_sweep_matches_per_tau_public_fusion(so3):
-    """One linearization per sweep and one chart update per tau give, bit for
+    """One linearization and one stacked chart update per sweep give, bit for
     bit, the costs of a public fuse_euclidean call per tau and estimator."""
     seed, count = 17, 50
     taus = default_tau_grid(1e-2, 1.0, 3)
@@ -234,9 +234,35 @@ def test_euclidean_sweep_matches_per_tau_public_fusion(so3):
         assert (rec.c1_plain, rec.c1_modified, rec.c2_plain, rec.c2_modified) == want
 
 
+def test_group_sweep_matches_per_tau_public_fusion(so3):
+    """One innovation logarithm and one stacked chart update per sweep give,
+    bit for bit, the costs of a public fuse_group call per tau and estimator."""
+    seed, count = 17, 50
+    taus = default_tau_grid(1e-2, 1.0, 3)
+    cfg = ExperimentConfig(model="group", sample_count=count, tau_grid=taus, seed=seed)
+    with pytest.warns(NonConcentratedWarning):
+        records = run_sweep(cfg)
+        prior = build_prior()
+    root = sqrt_psd(prior.cov)
+    for j, (tau, rec) in enumerate(zip(taus, records)):
+        draws, noise, _ = _per_sample_streams(so3, seed, j, count, root, 3)
+        truth = prior.mean @ so3.exp(draws)
+        g_z = truth @ so3.exp(noise * np.sqrt(tau * np.diag(GROUP_NOISE_SHAPE)))
+        obs = ObservationModelGroup(so3, tau * GROUP_NOISE_SHAPE)
+        e_plain, e_mod = [
+            so3.log(np.swapaxes(truth, -1, -2) @ fuse_group(so3, prior, obs, g_z,
+                                                            modified=flag).mean)
+            for flag in (False, True)]
+        want = (float(np.linalg.norm(e_plain.mean(axis=0)) ** 2),
+                float(np.linalg.norm(e_mod.mean(axis=0)) ** 2),
+                float((e_plain * e_plain).sum(axis=-1).mean()),
+                float((e_mod * e_mod).sum(axis=-1).mean()))
+        assert (rec.c1_plain, rec.c1_modified, rec.c2_plain, rec.c2_modified) == want
+
+
 def test_euclidean_sweep_linearizes_once(monkeypatch):
     """k(mu), two evaluations per slope and four for all N^2 curvature
-    stencils once per sweep, plus one batched reading of the truths per tau."""
+    stencils once per sweep, plus one reading of the stacked truths."""
     calls = []
 
     def counted(rotation):
@@ -249,7 +275,7 @@ def test_euclidean_sweep_linearizes_once(monkeypatch):
     with pytest.warns(NonConcentratedWarning):
         run_sweep(cfg)
     dim = 3
-    assert len(calls) == 1 + 2 * dim + 4 + len(taus)
+    assert len(calls) == 1 + 2 * dim + 4 + 1
 
 
 # -- CSV / gnuplot emission ------------------------------------------------------------
@@ -311,13 +337,15 @@ def test_cli_reports_io_error(tmp_path):
 
 
 def test_cli_exit_code_on_exclusion_overflow(tmp_path, monkeypatch):
+    """A chart-domain error in the stacked fusion excludes every tau, which
+    overflows the exclusion limit: exit code 2."""
     from liefilter import experiments
     from liefilter.errors import LieDomainError
 
     def always_singular(*args, **kwargs):
         raise LieDomainError("synthetic chart-domain failure")
 
-    monkeypatch.setattr(experiments, "fuse_group", always_singular)
+    monkeypatch.setattr(experiments, "_posterior", always_singular)
     code = main(["--model", "group", "--n", "20", "--tau-points", "2",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2

@@ -362,6 +362,56 @@ def test_fuse_batch_matches_per_observation_calls(so3, model, modified, batch):
         assert np.abs(post.cov[idx] - single.cov).max() <= 1e-14
 
 
+@pytest.mark.parametrize("modified", [True, False])
+@pytest.mark.parametrize("model", ["euclidean", "group"])
+def test_fuse_stacked_noise_matches_per_index_calls_bitwise(so3, model, modified):
+    """A noise covariance stack (T, M, M) against observations (T, S, ...)
+    gives, bit for bit, one call per leading index with its own noise."""
+    rng = np.random.default_rng(61)
+    mu = so3.exp(np.array([0.4, -0.3, 0.2]))
+    prior = ConcentratedGaussian(mu, np.diag([0.05, 0.08, 0.03]))
+    scales = np.array([1e-3, 1e-2, 1e-1, 1.0])[:, None, None]
+    truths = mu @ so3.exp(0.3 * rng.standard_normal((4, 5, 3)))
+    if model == "euclidean":
+        make = lambda noise: ObservationModelEuclidean(measure_euclidean, noise)
+        noise = scales * np.eye(6)
+        z = measure_euclidean(truths) + 0.1 * rng.standard_normal((4, 5, 6))
+        fuse = fuse_euclidean
+    else:
+        make = lambda noise: ObservationModelGroup(so3, noise)
+        noise = scales * np.eye(3)
+        z = truths @ so3.exp(0.1 * rng.standard_normal((4, 5, 3)))
+        fuse = fuse_group
+    post = fuse(so3, prior, make(noise), z, modified=modified)
+    assert post.mean.shape == (4, 5, 3, 3) and post.cov.shape == (4, 5, 3, 3)
+    for t in range(len(scales)):
+        per_index = fuse(so3, prior, make(noise[t]), z[t], modified=modified)
+        assert_bitwise(post.mean[t], per_index.mean)
+        assert_bitwise(post.cov[t], per_index.cov)
+        single = fuse(so3, prior, make(noise[t]), z[t, 0], modified=modified)
+        assert single.mean.shape == (3, 3) and single.cov.shape == (3, 3)
+
+
+def test_singular_innovation_in_a_stack_names_its_index(so3):
+    from liefilter.errors import InnovationSingularError
+    v = np.array([0.0, 0.0, -9.82])
+
+    def doubled(g):
+        w = np.einsum("...ji,j->...i", g, v)
+        return np.concatenate([w, w], axis=-1)
+
+    noise = np.stack([np.eye(6), np.eye(6), np.zeros((6, 6))])
+    obs = ObservationModelEuclidean(doubled, noise)
+    prior = ConcentratedGaussian(np.eye(3), 0.05 * np.eye(3))
+    with pytest.raises(InnovationSingularError, match=r"at stack index \(2,\)"):
+        fuse_euclidean(so3, prior, obs, np.zeros((3, 1, 6)))
+    with pytest.raises(InnovationSingularError) as single:
+        fuse_euclidean(so3, prior, ObservationModelEuclidean(doubled, noise[2]), np.zeros(6))
+    assert "stack index" not in str(single.value)
+    fuse_euclidean(so3, prior, ObservationModelEuclidean(doubled, noise[:2]),
+                   np.zeros((2, 1, 6)))
+
+
 # -- linearization -------------------------------------------------------------------
 
 def per_pair_linearization(group, func, mu, P, step=1e-5):
