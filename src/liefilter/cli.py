@@ -42,17 +42,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s")
-    cfg = ExperimentConfig(
-        model=args.model,
-        sample_count=args.n,
-        tau_grid=default_tau_grid(args.tau_min, args.tau_max, args.tau_points),
-        seed=args.seed,
-        output=args.out,
-    )
+    try:
+        cfg = ExperimentConfig(
+            model=args.model,
+            sample_count=args.n,
+            tau_grid=default_tau_grid(args.tau_min, args.tau_max, args.tau_points),
+            seed=args.seed,
+            output=args.out,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))                 # exits with status 2
     try:
         records = run_sweep(cfg)
     except ExclusionOverflowError as exc:

@@ -7,10 +7,11 @@ Two equivalent formulations are supported:
 * the chart (coordinate) form, an SDE on exponential coordinates around a
   fixed base point.
 
-Coefficient transforms between the two forms and between Ito and Stratonovich
-readings are provided.  Drift and diffusion callables receive ``(state, t)``
-where ``state`` may carry leading batch axes; they must broadcast accordingly
-(constant coefficients trivially do).
+The chart form is given in coordinates, dx = a dt + B dW, and sampled as a
+Euclidean SDE; only the transforms from the injection form apply J_r^-1.
+Transforms between the Ito and Stratonovich readings are provided.
+Coefficient callables receive ``(state, t)`` where ``state`` may carry leading
+batch axes; they must broadcast accordingly (constant coefficients trivially do).
 
 Wiener increments are generated from a counter-based Philox stream keyed by
 the path seed and the step index, so each (path, step) increment is a pure
@@ -49,11 +50,15 @@ class SdeModel:
 
 @dataclass(frozen=True)
 class ParametricSdeModel:
-    """Chart-form SDE around ``base``: dx = J_r^-1 h~ dt + J_r^-1 H~ dW."""
+    """Chart-form SDE dx = a dt + B dW on g = base exp(x).
+
+    ``coefficients(x, t) -> (a (..., N), B (..., N, N))``; B is re-evaluated
+    at the midpoint state for the Stratonovich reading.  A model converted
+    from injection form has a = J_r^-1 h~ and B = J_r^-1 H~.
+    """
 
     base: np.ndarray
-    drift: Callable[[np.ndarray, float], np.ndarray]
-    diffusion: Callable[[np.ndarray, float], np.ndarray]
+    coefficients: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
     interpretation: str = ITO
 
 
@@ -126,8 +131,9 @@ def sample_nonparametric_path(group: MatrixLieGroup, model: SdeModel,
 def sample_parametric_path(group: MatrixLieGroup, model: ParametricSdeModel,
                            x0: np.ndarray, cfg: PathConfig,
                            store_path: bool = True) -> np.ndarray:
-    """Integrate the chart SDE; raises DomainExitError if a path leaves the
-    chart domain, reporting the step index."""
+    """Integrate the chart SDE dx = a dt + B dW by Euler-Maruyama (Ito) or
+    the midpoint scheme (Stratonovich); raises DomainExitError if a path
+    leaves the chart domain, reporting the step index."""
     dim = group.dim
     dt = cfg.dt
     x = np.broadcast_to(np.asarray(x0, float), (cfg.path_count, dim)).copy()
@@ -137,19 +143,13 @@ def sample_parametric_path(group: MatrixLieGroup, model: ParametricSdeModel,
     strat = model.interpretation == STRATONOVICH
     for i in range(cfg.steps):
         t = i * dt
-        halves = wiener_halves(cfg.seed, i, cfg.path_count, group.dim, dt)
+        halves = wiener_halves(cfg.seed, i, cfg.path_count, dim, dt)
         dw = halves[:, 0] + halves[:, 1]
-        jri = group.right_jacobian_inv(x)
-        drift = _mv(jri, np.asarray(model.drift(x, t), float))
+        a, big = (np.asarray(c, float) for c in model.coefficients(x, t))
         if strat:
-            x_mid = x + drift * dt / 2 + _mv(
-                jri, _mv(np.asarray(model.diffusion(x, t), float), halves[:, 0]))
-            big = np.asarray(model.diffusion(x_mid, t + dt / 2), float)
-            noise = _mv(group.right_jacobian_inv(x_mid), _mv(big, dw))
-        else:
-            big = np.asarray(model.diffusion(x, t), float)
-            noise = _mv(jri, _mv(big, dw))
-        x = x + drift * dt + noise
+            x_mid = x + a * dt / 2 + _mv(big, halves[:, 0])
+            big = np.asarray(model.coefficients(x_mid, t + dt / 2)[1], float)
+        x = x + a * dt + _mv(big, dw)
         inside = group.in_domain(x)
         if not np.all(inside):
             raise DomainExitError(
@@ -174,27 +174,24 @@ def ito_injection_to_parametric(group: MatrixLieGroup, model: SdeModel,
                                 mu: np.ndarray) -> ParametricSdeModel:
     """Chart-form coefficients reproducing an Ito injection SDE around mu.
 
-    The diffusion transfers verbatim; the drift gains a curvature correction
-    (1/2) J_r (d J_r^-1/dx_k) H H^T J_r^-T e_k, summed over k.
+    a = J_r^-1 h + (1/2) (d J_r^-1/dx_k) H H^T J_r^-T e_k, summed over k, and
+    B = J_r^-1 H, from one exp and one (J_r^-1, dJ_r^-1) pair per call.
     """
     if model.interpretation != ITO:
         raise ValueError("ito_injection_to_parametric requires an Ito model")
     mu = np.asarray(mu, float)
 
-    def drift(x, t):
+    def coefficients(x, t):
         x = np.asarray(x, float)
         g = mu @ group.exp(x)
         h = np.asarray(model.drift(g, t), float)
         big = np.asarray(model.diffusion(g, t), float)
-        hht = big @ np.swapaxes(big, -1, -2)
-        del g, big                 # freed before the partials: lower peak memory
-        corr = _ito_curvature(*group.right_jacobian_inv_partials(x), hht)
-        return h + _mv(group.right_jacobian(x), corr)
+        del g                      # freed before the partials: lower peak memory
+        jri, parts = group.right_jacobian_inv_partials(x)
+        corr = _ito_curvature(jri, parts, big @ np.swapaxes(big, -1, -2))
+        return _mv(jri, h) + corr, jri @ big
 
-    def diffusion(x, t):
-        return np.asarray(model.diffusion(mu @ group.exp(np.asarray(x, float)), t), float)
-
-    return ParametricSdeModel(mu, drift, diffusion, ITO)
+    return ParametricSdeModel(mu, coefficients, ITO)
 
 
 def stratonovich_to_ito(group: MatrixLieGroup, model: SdeModel,
@@ -222,46 +219,43 @@ def stratonovich_to_ito(group: MatrixLieGroup, model: SdeModel,
 
 def stratonovich_injection_to_parametric(group: MatrixLieGroup, model: SdeModel,
                                          mu: np.ndarray) -> ParametricSdeModel:
-    """Chart-form coefficients for a Stratonovich injection SDE: verbatim."""
+    """Chart-form coefficients for a Stratonovich injection SDE around mu:
+    a = J_r^-1 h and B = J_r^-1 H, from one exp and one J_r^-1 per call."""
     if model.interpretation != STRATONOVICH:
         raise ValueError("stratonovich_injection_to_parametric requires a "
                          "Stratonovich model")
     mu = np.asarray(mu, float)
 
-    def drift(x, t):
-        return np.asarray(model.drift(mu @ group.exp(np.asarray(x, float)), t), float)
+    def coefficients(x, t):
+        x = np.asarray(x, float)
+        g = mu @ group.exp(x)
+        jri = group.right_jacobian_inv(x)
+        return (_mv(jri, np.asarray(model.drift(g, t), float)),
+                jri @ np.asarray(model.diffusion(g, t), float))
 
-    def diffusion(x, t):
-        return np.asarray(model.diffusion(mu @ group.exp(np.asarray(x, float)), t), float)
-
-    return ParametricSdeModel(mu, drift, diffusion, STRATONOVICH)
+    return ParametricSdeModel(mu, coefficients, STRATONOVICH)
 
 
 def parametric_stratonovich_to_ito(group: MatrixLieGroup,
                                    model: ParametricSdeModel,
                                    step: float = 1e-6) -> ParametricSdeModel:
-    """Euclidean Stratonovich-to-Ito correction applied to the chart SDE.
-
-    Works on the effective coefficients A = J_r^-1 h~, B = J_r^-1 H~ of the
-    coordinate process, over any leading batch axes of the chart points; the
-    derivatives of B along the dim coordinate axes are central differences
-    evaluated in one call on a leading axis of shifted points.
+    """Euclidean Stratonovich-to-Ito correction of the chart SDE,
+    a + (1/2) sum_j (dB/dx_j) B e_j, over any leading batch axes of the chart
+    points; the derivatives of B along the dim coordinate axes are central
+    differences evaluated in one call on a leading axis of shifted points.
     """
     if model.interpretation != STRATONOVICH:
         raise ValueError("parametric_stratonovich_to_ito requires a "
                          "Stratonovich model")
     dim = group.dim
 
-    def eff_diffusion(x, t):
-        return group.right_jacobian_inv(x) @ np.asarray(model.diffusion(x, t), float)
-
-    def drift(x, t):
+    def coefficients(x, t):
         x = np.asarray(x, float)
-        a = _mv(group.right_jacobian_inv(x), np.asarray(model.drift(x, t), float))
-        b = eff_diffusion(x, t)
+        a, b = model.coefficients(x, t)
         shifts = step * np.eye(dim).reshape((dim,) + (1,) * (x.ndim - 1) + (dim,))
-        db = (eff_diffusion(x + shifts, t) - eff_diffusion(x - shifts, t)) / (2 * step)
-        corr = 0.5 * np.einsum("j...il,...jl->...i", db, b)   # db[j] = dB/dx_j
-        return _mv(group.right_jacobian(x), a + corr)
+        db = np.broadcast_to((model.coefficients(x + shifts, t)[1]
+                              - model.coefficients(x - shifts, t)[1]) / (2 * step),
+                             (dim,) + x.shape + (dim,))       # db[j] = dB/dx_j
+        return a + 0.5 * np.einsum("j...il,...jl->...i", db, b), b
 
-    return ParametricSdeModel(model.base, drift, model.diffusion, ITO)
+    return ParametricSdeModel(model.base, coefficients, ITO)

@@ -107,6 +107,11 @@ def test_experiment_config_rejects_bad_tau(bad):
         ExperimentConfig(tau_grid=np.array([1e-3, bad]))
 
 
+def test_experiment_config_rejects_an_empty_tau_grid():
+    with pytest.raises(ValueError, match="tau_grid must hold at least one value"):
+        ExperimentConfig(tau_grid=np.array([]))
+
+
 @pytest.mark.parametrize("count", [0, -3, 2.5, float("nan"), np.float64(8.0)])
 def test_experiment_config_rejects_a_non_integral_sample_count(count):
     with pytest.raises(ValueError, match="sample_count must be an integer >= 1"):
@@ -337,18 +342,30 @@ def test_cli_reports_io_error(tmp_path):
 
 
 def test_cli_exit_code_on_exclusion_overflow(tmp_path, monkeypatch):
-    """A chart-domain error in the stacked fusion excludes every tau, which
-    overflows the exclusion limit: exit code 2."""
+    """Every innovation and scoring logarithm leaving the chart domain
+    excludes every sample, which overflows the exclusion limit: exit code 2."""
     from liefilter import experiments
-    from liefilter.errors import LieDomainError
 
-    def always_singular(*args, **kwargs):
-        raise LieDomainError("synthetic chart-domain failure")
+    real = experiments._SO3.log_masked
 
-    monkeypatch.setattr(experiments, "_posterior", always_singular)
+    def nothing_in_domain(g):
+        values, ok = real(g)
+        return values, np.zeros_like(ok)
+
+    monkeypatch.setattr(experiments._SO3, "log_masked", nothing_in_domain)
     code = main(["--model", "group", "--n", "20", "--tau-points", "2",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--tau-min", "0"],
+                                   ["--tau-points", "0"]])
+def test_cli_rejects_a_bad_configuration_with_usage_status(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as err:
+        main(["--model", "group", "--out", str(tmp_path / "x.csv")] + flags)
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_c2_standard_error_scales_with_sample_count():

@@ -16,8 +16,10 @@ from liefilter.sde import (
     stratonovich_injection_to_parametric,
     stratonovich_to_ito,
     _ito_curvature,
+    _mv,
     wiener_halves,
 )
+from liefilter.groups import SO3
 
 from conftest import assert_bitwise
 
@@ -25,6 +27,11 @@ from conftest import assert_bitwise
 def const(value):
     arr = np.asarray(value, float)
     return lambda state, t: arr
+
+
+def const_pair(a, big):
+    pair = (np.asarray(a, float), np.asarray(big, float))
+    return lambda x, t: pair
 
 
 def rk4_flow(f, x0, total_time, steps):
@@ -61,7 +68,7 @@ def test_constant_drift_follows_one_parameter_subgroup(so3):
 
 
 def test_parametric_zero_coefficients_constant(so3):
-    model = ParametricSdeModel(np.eye(3), const(np.zeros(3)), const(np.zeros((3, 3))))
+    model = ParametricSdeModel(np.eye(3), const_pair(np.zeros(3), np.zeros((3, 3))))
     x0 = np.array([0.2, 0.1, -0.3])
     path = sample_parametric_path(so3, model, x0, PathConfig(1.0, 10, seed=1))
     assert np.abs(path - x0).max() < 1e-16
@@ -85,8 +92,7 @@ def test_isotropic_diffusion_covariance(so3):
 
 def test_abelian_parametric_matches_scalar_moments(diag1):
     sigma, total = 0.4, 1.0
-    model = ParametricSdeModel(np.eye(1), const(np.zeros(1)),
-                               const(sigma * np.eye(1)))
+    model = ParametricSdeModel(np.eye(1), const_pair(np.zeros(1), sigma * np.eye(1)))
     cfg = PathConfig(total, 200, seed=12, path_count=20_000)
     finals = sample_parametric_path(diag1, model, np.zeros(1), cfg, store_path=False)
     var = finals.var()
@@ -101,7 +107,10 @@ def test_deterministic_parametric_matches_rk4_oracle(so3):
         return 0.3 * np.stack([np.sin(x[..., 1] + 0.3), np.cos(x[..., 0]),
                                x[..., 2] * 0 + 0.2], axis=-1)
 
-    model = ParametricSdeModel(np.eye(3), htilde, const(np.zeros((3, 3))))
+    def coefficients(x, t):
+        return _mv(so3.right_jacobian_inv(x), htilde(x, t)), np.zeros((3, 3))
+
+    model = ParametricSdeModel(np.eye(3), coefficients)
     total, steps = 0.1, 1000
     got = sample_parametric_path(so3, model, np.zeros(3),
                                  PathConfig(total, steps, seed=0),
@@ -147,12 +156,45 @@ def test_path_config_validation():
 
 
 def test_parametric_domain_exit_reports_step(so3):
-    model = ParametricSdeModel(np.eye(3), const(np.array([5.0, 0, 0])),
-                               const(np.zeros((3, 3))))
+    # on the x-axis J_r^-1 e_0 = e_0, so this is also the chart form of the
+    # injection drift 5 e_0
+    model = ParametricSdeModel(np.eye(3), const_pair([5.0, 0, 0], np.zeros((3, 3))))
     with pytest.raises(DomainExitError) as err:
         sample_parametric_path(so3, model, np.array([3.0, 0, 0]),
                                PathConfig(0.1, 10, seed=0))
     assert err.value.step == 3
+
+
+def _counting_so3():
+    """A fresh SO3 whose exp and right-Jacobian methods count their calls."""
+    group, calls = SO3(), {}
+    for name in ("exp", "right_jacobian", "right_jacobian_inv",
+                 "right_jacobian_inv_partials"):
+        def counted(*args, _name=name, _method=getattr(group, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _method(*args)
+        setattr(group, name, counted)
+    return group, calls
+
+
+@pytest.mark.parametrize("interpretation, convert, per_step", [
+    (ITO, ito_injection_to_parametric,
+     {"exp": 1, "right_jacobian_inv_partials": 1}),
+    (STRATONOVICH, stratonovich_injection_to_parametric,
+     {"exp": 2, "right_jacobian_inv": 2}),
+])
+def test_chart_step_evaluates_each_jacobian_once(interpretation, convert, per_step):
+    # The sampler applies no Jacobian; the converted coefficients evaluate
+    # the exp and the Jacobian (or the pair) once per coefficient call.
+    group, calls = _counting_so3()
+    model = SdeModel(const(np.array([0.3, -0.2, 0.1])), const(0.2 * np.eye(3)),
+                     interpretation)
+    par = convert(group, model, group.exp(np.array([0.4, 0.2, -0.3])))
+    calls.clear()
+    steps = 4
+    sample_parametric_path(group, par, np.zeros(3),
+                           PathConfig(0.1, steps, seed=0, path_count=5))
+    assert calls == {name: steps * count for name, count in per_step.items()}
 
 
 # -- Ito injection -> chart coefficients -------------------------------------------
@@ -162,7 +204,9 @@ def test_injection_to_parametric_no_correction_without_noise(so3):
     model = SdeModel(const(h), const(np.zeros((3, 3))))
     par = ito_injection_to_parametric(so3, model, np.eye(3))
     x = np.array([0.4, 0.2, -0.3])
-    assert np.abs(par.drift(x, 0.0) - h).max() < 1e-14
+    a, big = par.coefficients(x, 0.0)
+    assert np.abs(a - so3.right_jacobian_inv(x) @ h).max() < 1e-14
+    assert not big.any()
 
 
 def test_injection_to_parametric_abelian_identity(diag3):
@@ -170,7 +214,7 @@ def test_injection_to_parametric_abelian_identity(diag3):
     model = SdeModel(const(h), const(0.7 * np.eye(3)))
     par = ito_injection_to_parametric(diag3, model, diag3.exp(np.ones(3)))
     x = np.array([0.3, 0.3, -0.6])
-    assert np.abs(par.drift(x, 0.0) - h).max() < 1e-15
+    assert np.abs(par.coefficients(x, 0.0)[0] - h).max() < 1e-15
 
 
 @pytest.mark.parametrize("big_h", [
@@ -182,7 +226,7 @@ def test_injection_drift_correction_matches_fd_assembly(so3, big_h):
     par = ito_injection_to_parametric(so3, model, np.eye(3))
     hht = big_h @ big_h.T
     for x in (np.array([0.2, 0.0, 0.0]), np.array([-0.3, 0.5, 0.1])):
-        got = par.drift(x, 0.0)
+        got = par.coefficients(x, 0.0)[0]
         # independent assembly: central differences of the closed-form
         # inverse Jacobian replace the analytic partial derivatives
         corr = np.zeros(3)
@@ -193,7 +237,7 @@ def test_injection_drift_correction_matches_fd_assembly(so3, big_h):
             part = (so3.right_jacobian_inv(x + e)
                     - so3.right_jacobian_inv(x - e)) / 2e-6
             corr += 0.5 * part @ (hht @ jrt_inv[:, k])
-        expected = so3.right_jacobian(x) @ corr
+        expected = corr
         assert np.abs(got - expected).max() / max(np.abs(expected).max(), 1e-12) < 1e-6
 
 
@@ -257,14 +301,16 @@ def test_stratonovich_to_ito_recovers_scalar_formula(diag1):
         assert abs(ito.drift(g, 0.0)[0] - 0.5 * xv) < 1e-9
 
 
-def test_stratonovich_injection_transfer_is_verbatim(so3):
+def test_stratonovich_injection_transfer_is_jr_inv_h_and_jr_inv_big_h(so3):
     h = np.array([0.1, 0.2, 0.3])
     model = SdeModel(const(h), const(0.2 * np.eye(3)), STRATONOVICH)
     mu = so3.exp(np.array([0.5, -0.1, 0.2]))
     par = stratonovich_injection_to_parametric(so3, model, mu)
     x = np.array([0.2, -0.2, 0.4])
-    assert np.array_equal(par.drift(x, 0.0), h)
-    assert np.array_equal(par.diffusion(x, 0.0), 0.2 * np.eye(3))
+    jri = so3.right_jacobian_inv(x)
+    a, big = par.coefficients(x, 0.0)
+    assert np.array_equal(a, _mv(jri, h))
+    assert np.array_equal(big, jri @ (0.2 * np.eye(3)))
     assert par.interpretation == STRATONOVICH
 
 
@@ -292,11 +338,10 @@ def test_conversion_diagram_commutes(so3):
     rng = np.random.default_rng(31)
     for _ in range(5):
         x = 0.4 * rng.standard_normal(3)
-        a = via_injection.drift(x, 0.0)
-        b = via_chart.drift(x, 0.0)
+        a, big_a = via_injection.coefficients(x, 0.0)
+        b, big_b = via_chart.coefficients(x, 0.0)
         assert np.abs(a - b).max() / max(np.abs(a).max(), 1e-12) < 1e-6
-        assert np.abs(via_injection.diffusion(x, 0.0)
-                      - via_chart.diffusion(x, 0.0)).max() < 1e-12
+        assert np.abs(big_a - big_b).max() < 1e-12
 
 
 def test_conversion_diagram_exact_without_noise(so3):
@@ -308,7 +353,8 @@ def test_conversion_diagram_exact_without_noise(so3):
     via_chart = parametric_stratonovich_to_ito(
         so3, stratonovich_injection_to_parametric(so3, model, mu))
     x = np.array([0.25, -0.15, 0.05])
-    assert np.abs(via_injection.drift(x, 0.0) - via_chart.drift(x, 0.0)).max() < 1e-12
+    assert np.abs(via_injection.coefficients(x, 0.0)[0]
+                  - via_chart.coefficients(x, 0.0)[0]).max() < 1e-12
 
 
 def test_parametric_stratonovich_to_ito_batched_matches_rows(so3):
@@ -317,10 +363,21 @@ def test_parametric_stratonovich_to_ito_batched_matches_rows(so3):
     via_chart = parametric_stratonovich_to_ito(
         so3, stratonovich_injection_to_parametric(so3, model, mu))
     xs = 0.4 * np.random.default_rng(37).standard_normal((12, 3))
-    batched = via_chart.drift(xs, 0.0)
-    rows = np.stack([via_chart.drift(x, 0.0) for x in xs])
+    batched = via_chart.coefficients(xs, 0.0)[0]
+    rows = np.stack([via_chart.coefficients(x, 0.0)[0] for x in xs])
     assert batched.shape == (12, 3)
     assert np.abs(batched - rows).max() < 1e-12
+
+
+def test_parametric_stratonovich_to_ito_constant_coefficients_unchanged(so3):
+    a, big = np.array([0.2, -0.1, 0.3]), 0.3 * np.eye(3)
+    ito = parametric_stratonovich_to_ito(
+        so3, ParametricSdeModel(np.eye(3), const_pair(a, big), STRATONOVICH))
+    xs = 0.4 * np.random.default_rng(41).standard_normal((4, 3))
+    got_a, got_big = ito.coefficients(xs, 0.0)
+    assert ito.interpretation == ITO
+    assert np.array_equal(got_a, np.broadcast_to(a, xs.shape))
+    assert np.array_equal(got_big, big)
 
 
 # -- paired statistical equivalence (state-dependent coefficients) -------------------
