@@ -6,9 +6,12 @@ rotation), fuses prior and observation with and without the group-mean
 correction, and scores both estimators with the two chart-error costs over a
 sweep of the noise scale tau.
 
-Every random quantity of sample ``i`` at sweep point ``j`` derives from
-``SeedSequence(seed, spawn_key=(j, i))``, so results are reproducible and
-independent of evaluation order.
+Every random quantity of sample ``i`` at sweep point ``j`` derives from its
+own stream ``SeedSequence(seed, spawn_key=(j, i))``, so results are
+reproducible and independent of evaluation order.  The streams' PCG64 seed
+words are hashed for the whole (tau, sample) grid at once, bit for bit as
+numpy's ``SeedSequence`` computes them, rather than one ``SeedSequence`` per
+sample.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown observation model {self.model!r}")
         if not isinstance(self.sample_count, numbers.Integral) or self.sample_count < 1:
             raise ValueError("sample_count must be an integer >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         taus = np.asarray(self.tau_grid, float)
         if taus.size == 0:
             raise ValueError("tau_grid must hold at least one value")
@@ -80,6 +85,8 @@ class TrialRecord:
     c2_plain: float
     c2_modified: float
     wall_time: float
+    rejected: int = 0                           # prior draws redrawn at this tau
+    excluded: int = 0                           # samples excluded at this tau
 
 
 def build_prior() -> ConcentratedGaussian:
@@ -117,34 +124,103 @@ def observe_group(rotation: np.ndarray, tau: float, seed) -> np.ndarray:
     return np.asarray(rotation, float) @ _SO3.exp(r)
 
 
-def _draw_streams(seed: int, tau_idx: int, count: int, root: np.ndarray,
-                  noise_dim: int) -> tuple[np.ndarray, np.ndarray, int]:
+# O'Neill's seed_seq_fe hash constants, as numpy's SeedSequence uses them.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _stream_words(seed: int, taus: int, count: int) -> np.ndarray:
+    """PCG64 seed words ``SeedSequence(seed, spawn_key=(j, i))
+    .generate_state(4, np.uint64)`` of every stream j < taus, i < count,
+    shape (taus, count, 4).
+
+    numpy's own ``SeedSequence(seed).pool`` is the entropy pool after the run
+    entropy (building it validates the seed); the spawn words j and i are
+    mixed in and the output hash is run in uint32 arithmetic over the whole
+    grid at once, with the hash constants advanced as numpy advances them."""
+    if max(taus, count) > 2**32:
+        raise ValueError("a spawn index must fit in one 32-bit word")
+    pool = np.random.SeedSequence(seed).pool
+    run_words = max(1, -(-int(seed).bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, run_words - 4), 2**32) & _MASK32
+    mixed = list(pool.reshape(4, 1, 1))
+    # each spawn word is hashed into every pool word in turn
+    for word in (np.arange(taus, dtype=np.uint32)[:, None],
+                 np.arange(count, dtype=np.uint32)[None, :]):
+        for dst in range(4):
+            value = word ^ np.uint32(const)
+            const = const * _MULT_A & _MASK32
+            value = value * np.uint32(const)
+            value ^= value >> 16
+            mixed[dst] = mixed[dst] * np.uint32(_MIX_L) - value * np.uint32(_MIX_R)
+            mixed[dst] ^= mixed[dst] >> 16
+    # generate_state(4, np.uint64): eight uint32 halves, the low half first
+    const = _INIT_B
+    halves = []
+    for k in range(8):
+        value = mixed[k % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        value ^= value >> 16
+        halves.append(value.astype(np.uint64))
+    return np.stack([lo | hi << np.uint64(32)
+                     for lo, hi in zip(halves[0::2], halves[1::2])], axis=-1)
+
+
+def _seed_words_type() -> type:
+    """An ISeedSequence that hands PCG64 one stream's precomputed seed words,
+    built at the call so that importing liefilter does not import
+    numpy.random."""
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint64):
+            return self.words
+    return SeedWords
+
+
+def _draw_streams(seed: int, taus: int, count: int, root: np.ndarray,
+                  noise_dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prior chart draws (resampled outside the chart domain) and unit
-    observation noise, each sample from its own stream, plus the rejections.
+    observation noise of every (tau index j, sample i), shapes
+    (taus, count, 3) and (taus, count, noise_dim), plus the rejections per
+    tau.
 
-    Every stream draws its candidates and then its noise.  One read per
-    stream gives the first candidate and the noise that follows it when that
-    candidate lies in the chart domain; the domain is screened once for all
-    first candidates, and only a rejected sample's stream is replayed past
-    its first candidate to redraw."""
-    def stream(i):
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tau_idx, i)))
+    Each sample draws from its own stream ``SeedSequence(seed,
+    spawn_key=(j, i))``, whose PCG64 seed words ``_stream_words`` hashes for
+    the whole grid at once.  Every stream draws its candidates and then its
+    noise.  One read per stream gives the first candidate and the noise that
+    follows it when that candidate lies in the chart domain; the domain is
+    screened once for all first candidates, and only a rejected sample's
+    stream is replayed from the same words past its first candidate to
+    redraw."""
+    words = _stream_words(seed, taus, count)
+    seed_words = _seed_words_type()
 
-    first = np.stack([stream(i).standard_normal(3 + noise_dim) for i in range(count)])
-    draws = first[:, :3] @ root.T
-    noise = first[:, 3:].copy()
-    rejected = 0
-    for i in np.flatnonzero(~_SO3.in_domain(draws)):
-        rng = stream(i)
+    def stream(j, i):
+        return np.random.Generator(np.random.PCG64(seed_words(words[j, i])))
+
+    first = np.empty((taus, count, 3 + noise_dim))
+    for j in range(taus):
+        for i in range(count):
+            stream(j, i).standard_normal(out=first[j, i])
+    draws = first[..., :3] @ root.T
+    noise = first[..., 3:].copy()
+    rejected = np.zeros(taus, dtype=int)
+    for j, i in zip(*np.nonzero(~_SO3.in_domain(draws))):
+        rng = stream(j, i)
         rng.standard_normal(3)                 # the rejected first candidate
         for attempt in range(1, 1000):
-            draws[i] = root @ rng.standard_normal(3)
-            if _SO3.in_domain(draws[i]):
+            draws[j, i] = root @ rng.standard_normal(3)
+            if _SO3.in_domain(draws[j, i]):
                 break
         else:
             raise RejectionOverflowError("prior draw kept leaving the chart domain")
-        rejected += attempt
-        noise[i] = rng.standard_normal(noise_dim)
+        rejected[j] += attempt
+        noise[j, i] = rng.standard_normal(noise_dim)
     return draws, noise, rejected
 
 
@@ -160,7 +236,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     either scoring logarithm leaves the chart domain is excluded pairwise and
     counted.  The run fails with ExclusionOverflowError if more than 0.1%
     of all samples are excluded.  Each record's ``wall_time`` is an equal
-    share of the sweep's elapsed time.
+    share of the sweep's elapsed time; ``rejected`` and ``excluded`` count
+    its own tau's redrawn prior draws and excluded samples.
     """
     start = time.perf_counter()
     prior = build_prior()
@@ -172,17 +249,16 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     taus = np.asarray(cfg.tau_grid, float)
     total = cfg.sample_count * len(taus)
 
-    draws, noise, rejected = zip(*(_draw_streams(cfg.seed, tau_idx, cfg.sample_count,
-                                                 root, len(shape))
-                                   for tau_idx in range(len(taus))))
-    rejected_draws = sum(rejected)
+    draws, noise, rejected = _draw_streams(cfg.seed, len(taus), cfg.sample_count,
+                                           root, len(shape))
+    rejected_draws = int(rejected.sum())
     # Poisson noise at small sample counts must not trip the 1% bound
     if rejected_draws > max(10.0, 0.01 * (total + rejected_draws)):
         raise RejectionOverflowError(
             f"{rejected_draws} prior draws rejected out of "
             f"{total + rejected_draws}")
-    truth = mu @ _SO3.exp(np.stack(draws))                  # (taus, samples, 3, 3)
-    noise = np.stack(noise) * np.sqrt(taus[:, None, None] * np.diag(shape))
+    truth = mu @ _SO3.exp(draws)                            # (taus, samples, 3, 3)
+    noise *= np.sqrt(taus[:, None, None] * np.diag(shape))
     R = symmetrize(taus[:, None, None] * shape)
     if euclidean:
         valid = True
@@ -199,7 +275,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
         _SO3.log_masked(truth_inv @ _posterior(_SO3, mu, m, cov, flag).mean)
         for flag in (False, True)]
     ok = valid & ok_plain & ok_mod
-    excluded = total - int(ok.sum())
+    excluded_per_tau = cfg.sample_count - ok.sum(axis=1)
+    excluded = int(excluded_per_tau.sum())
 
     costs = []
     for j, keep in enumerate(ok):
@@ -212,8 +289,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
                       float((plain * plain).sum(axis=-1).mean()),
                       float((mod * mod).sum(axis=-1).mean())))
     elapsed = time.perf_counter() - start
-    records = [TrialRecord(float(tau), *cost, wall_time=elapsed / len(taus))
-               for tau, cost in zip(taus, costs)]
+    records = [TrialRecord(float(tau), *cost, wall_time=elapsed / len(taus),
+                           rejected=int(rej), excluded=int(exc))
+               for tau, cost, rej, exc in zip(taus, costs, rejected, excluded_per_tau)]
     log.info("%d taus done in %.1fs", len(taus), elapsed)
 
     if excluded > EXCLUSION_LIMIT * total:

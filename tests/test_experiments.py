@@ -119,6 +119,13 @@ def test_experiment_config_rejects_a_non_integral_sample_count(count):
     assert ExperimentConfig(sample_count=np.int64(8)).sample_count == 8
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), "42"])
+def test_experiment_config_rejects_a_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        ExperimentConfig(seed=seed)
+    assert ExperimentConfig(seed=np.uint64(2**63)).seed == 2**63
+
+
 @pytest.mark.parametrize("model", ["euclidean", "group"])
 def test_sweep_smoke_and_determinism(model):
     cfg = ExperimentConfig(model=model, sample_count=40,
@@ -180,6 +187,10 @@ def test_sweep_excludes_a_failed_scoring_pairwise(so3, monkeypatch, caplog):
             pytest.warns(NonConcentratedWarning):
         records = run_sweep(cfg)
     assert "2/2400 samples excluded by chart-domain errors" in caplog.text
+    assert [rec.excluded for rec in records] == [1, 1]
+    root = sqrt_psd(experiments.PRIOR_COV)
+    assert [rec.rejected for rec in records] == \
+        [_per_sample_streams(so3, seed, j, count, root, 3)[2] for j in range(len(taus))]
     for j, rec in enumerate(records):
         plain, mod = e_plain[j, 1:], e_mod[j, 1:]
         want = (np.linalg.norm(plain.mean(axis=0)) ** 2, np.linalg.norm(mod.mean(axis=0)) ** 2,
@@ -205,12 +216,38 @@ def _per_sample_streams(so3, seed, tau_idx, count, root, noise_dim):
 
 def test_draw_streams_batched_screen_matches_per_sample_loop(so3):
     root = 2.0 * np.eye(3)                 # ~1 in 3 first candidates leaves the domain
-    draws, noise, rejected = experiments._draw_streams(3, 1, 300, root, 6)
-    want_draws, want_noise, want_rejected = _per_sample_streams(so3, 3, 1, 300, root, 6)
-    assert rejected == want_rejected > 50
-    assert np.array_equal(draws, want_draws) and np.array_equal(noise, want_noise)
+    draws, noise, rejected = experiments._draw_streams(3, 3, 300, root, 6)
+    assert draws.shape == (3, 300, 3) and noise.shape == (3, 300, 6)
+    for j in range(3):
+        want_draws, want_noise, want_rejected = _per_sample_streams(so3, 3, j, 300, root, 6)
+        assert rejected[j] == want_rejected > 50
+        assert np.array_equal(draws[j], want_draws) and np.array_equal(noise[j], want_noise)
     with pytest.raises(RejectionOverflowError):
-        experiments._draw_streams(3, 1, 1, 1e6 * np.eye(3), 6)
+        experiments._draw_streams(3, 2, 1, 1e6 * np.eye(3), 6)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 42, 2**32 + 1, 2**160 + 7])
+def test_stream_words_are_numpys_seed_sequence_words(seed):
+    """The grid hash gives every stream the PCG64 seed words, and so the
+    draws, of its own SeedSequence(seed, spawn_key=(j, i))."""
+    words = experiments._stream_words(seed, 13, 300)
+    seed_words = experiments._seed_words_type()
+    assert words.shape == (13, 300, 4) and words.dtype == np.uint64
+    for j in range(13):
+        for i in range(300):
+            seq = np.random.SeedSequence(seed, spawn_key=(j, i))
+            assert np.array_equal(words[j, i], seq.generate_state(4, np.uint64))
+            got = np.random.Generator(np.random.PCG64(seed_words(words[j, i])))
+            assert np.array_equal(got.standard_normal(9),
+                                  np.random.default_rng(seq).standard_normal(9))
+
+
+def test_stream_words_refuse_a_negative_seed_and_a_two_word_index():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        experiments._stream_words(-1, 2, 2)
+    for taus, count in [(2**32 + 1, 1), (1, 2**32 + 1)]:
+        with pytest.raises(ValueError, match="one 32-bit word"):
+            experiments._stream_words(0, taus, count)
 
 
 def test_euclidean_sweep_matches_per_tau_public_fusion(so3):
@@ -359,7 +396,7 @@ def test_cli_exit_code_on_exclusion_overflow(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--tau-min", "0"],
-                                   ["--tau-points", "0"]])
+                                   ["--tau-points", "0"], ["--seed", "-1"]])
 def test_cli_rejects_a_bad_configuration_with_usage_status(tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as err:
         main(["--model", "group", "--out", str(tmp_path / "x.csv")] + flags)
