@@ -32,7 +32,7 @@ from .errors import (
 )
 # fuse_group stays importable here: bench/test_gates.py checks that the tracer
 # wraps a name imported into two modules through it.
-from .fusion import _group_step, _kalman_step, _linearize, _posterior, fuse_group  # noqa: F401
+from .fusion import _group_step, _kalman_step, _linearize, _posterior_mean, fuse_group  # noqa: F401
 from .groups import SO3
 
 log = logging.getLogger(__name__)
@@ -231,13 +231,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     cost differences isolate the group-mean correction.  The samples of every
     tau are drawn from their own streams and then fused as one stacked batch
     of shape (taus, samples): one linearization (vector model) and one chart
-    update per sweep, with one gain and one chart covariance per tau, which
-    both estimators map to the group.  A sample whose innovation or
-    either scoring logarithm leaves the chart domain is excluded pairwise and
-    counted.  The run fails with ExclusionOverflowError if more than 0.1%
-    of all samples are excluded.  Each record's ``wall_time`` is an equal
-    share of the sweep's elapsed time; ``rejected`` and ``excluded`` count
-    its own tau's redrawn prior draws and excluded samples.
+    update per sweep, with one gain and one chart covariance per tau; the
+    costs read only the means that both estimators map to the group.  A
+    sample whose innovation or either scoring logarithm leaves the chart
+    domain is excluded pairwise and counted.  The run fails with
+    ExclusionOverflowError if more than 0.1% of all samples are excluded.
+    Each record's ``wall_time`` is an equal share of the sweep's elapsed
+    time; ``rejected`` and ``excluded`` count its own tau's redrawn prior
+    draws and excluded samples.
     """
     start = time.perf_counter()
     prior = build_prior()
@@ -272,7 +273,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
         m, cov = _group_step(P, R, y)
     truth_inv = np.swapaxes(truth, -1, -2)
     (e_plain, ok_plain), (e_mod, ok_mod) = [
-        _SO3.log_masked(truth_inv @ _posterior(_SO3, mu, m, cov, flag).mean)
+        _SO3.log_masked(truth_inv @ _posterior_mean(_SO3, mu, m, cov, flag))
         for flag in (False, True)]
     ok = valid & ok_plain & ok_mod
     excluded_per_tau = cfg.sample_count - ok.sum(axis=1)

@@ -136,20 +136,31 @@ def _per_sample(cov: np.ndarray) -> np.ndarray:
     return cov if cov.ndim == 2 else cov[..., None, :, :]
 
 
-def _modification(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form correction m' = (I - (1/12) cov_ij ad_i ad_j) m and the
-    matching covariance adjustment sym((1/2) cov_ij ad_i m' e_j^T), for
+def _corrected_mean(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray
+                    ) -> np.ndarray:
+    """Closed-form mean correction m' = (I - (1/12) cov_ij ad_i ad_j) m, for
     chart means ``(..., N)`` sharing one covariance ``(N, N)``, or means
     ``(T, S, N)`` with one covariance per leading index, ``(T, N, N)``."""
-    dim = group.dim
-    ad_basis = group.ad(np.eye(dim))                       # ad_basis[i] = ad(e_i)
+    ad_basis = group.ad(np.eye(group.dim))                 # ad_basis[i] = ad(e_i)
     quad = np.einsum("...ij,iab,jbc->...ac", cov, ad_basis, ad_basis)
-    m_prime = m @ np.swapaxes(np.eye(dim) - quad / 12.0, -1, -2)
-    adm = np.einsum("iab,...b->...ia", ad_basis, m_prime)  # row i = ad_i m'
+    return m @ np.swapaxes(np.eye(group.dim) - quad / 12.0, -1, -2)
+
+
+def _modification(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The corrected mean m' of :func:`_corrected_mean` and the matching
+    covariance adjustment sym((1/2) cov_ij ad_i m' e_j^T)."""
+    m_prime = _corrected_mean(group, m, cov)
+    adm = np.einsum("iab,...b->...ia", group.ad(np.eye(group.dim)), m_prime)  # ad_i m'
     cov = _per_sample(cov)
     bump = 0.5 * np.einsum("...ij,...ia->...aj", cov, adm)
     return m_prime, cov + bump + np.swapaxes(bump, -1, -2)
+
+
+def _posterior_mean(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,
+                    cov: np.ndarray, modified: bool) -> np.ndarray:
+    """The mean of :func:`_posterior` alone, without its covariance."""
+    return mu @ group.exp(_corrected_mean(group, m, cov) if modified else m)
 
 
 def _posterior(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,
@@ -169,15 +180,14 @@ def _linearize(group: MatrixLieGroup, func: Callable[[np.ndarray], np.ndarray],
                mu: np.ndarray, P: np.ndarray, step: float = _DERIVATIVE_STEP
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Linearization of ``func`` at the prior mean: k(mu), the (M, N) right
-    Lie derivative slopes and the curvature P_ij (E_i^r E_j^r k).  Its N^2
-    second derivatives come from one stencil call, which calls ``func`` on
-    flat (N^2, n, n) stacks, and are summed in (i, j) order.  It depends
-    only on the prior, so observations sharing a prior can share it."""
-    dim = group.dim
+    Lie derivative slopes and the curvature P_ij (E_i^r E_j^r k).  The N
+    slopes come from one stencil call, which calls ``func`` on (N, n, n)
+    stacks, and the N^2 second derivatives from one on flat (N^2, n, n)
+    stacks, summed in (i, j) order.  It depends only on the prior, so
+    observations sharing a prior can share it."""
+    dim, axis = group.dim, np.arange(group.dim)
     k_mu = np.asarray(func(mu), float)
-    slopes = np.stack([lie_derivative_right(group, func, mu, i, step)
-                       for i in range(dim)], axis=1)       # (M, N)
-    axis = np.arange(dim)
+    slopes = lie_derivative_right(group, func, mu, axis, step).T            # (M, N)
     second = lie_derivative_right_second(group, func, mu, np.repeat(axis, dim),
                                          np.tile(axis, dim), step)
     if second.shape != (dim * dim,) + k_mu.shape:

@@ -173,15 +173,15 @@ def test_sweep_excludes_a_failed_scoring_pairwise(so3, monkeypatch, caplog):
     taus = np.array([1e-2, 1e-1])
     truths, e_plain, e_mod = _per_sample_group_sweep(so3, seed, taus, count)
     half_turn = np.diag([1.0, -1.0, -1.0])
-    posterior = experiments._posterior
+    posterior_mean = experiments._posterior_mean
 
     def first_sample_flipped(group, mu, m, cov, modified):
-        post = posterior(group, mu, m, cov, modified)
+        mean = posterior_mean(group, mu, m, cov, modified)
         j = int(modified)                   # plain at tau 0, corrected at tau 1
-        post.mean[j, 0] = truths[j, 0] @ half_turn
-        return post
+        mean[j, 0] = truths[j, 0] @ half_turn
+        return mean
 
-    monkeypatch.setattr(experiments, "_posterior", first_sample_flipped)
+    monkeypatch.setattr(experiments, "_posterior_mean", first_sample_flipped)
     cfg = ExperimentConfig(model="group", sample_count=count, tau_grid=taus, seed=seed)
     with caplog.at_level(logging.WARNING, logger=experiments.__name__), \
             pytest.warns(NonConcentratedWarning):
@@ -303,8 +303,9 @@ def test_group_sweep_matches_per_tau_public_fusion(so3):
 
 
 def test_euclidean_sweep_linearizes_once(monkeypatch):
-    """k(mu), two evaluations per slope and four for all N^2 curvature
-    stencils once per sweep, plus one reading of the stacked truths."""
+    """k(mu), two evaluations for all N slopes and four for all N^2
+    curvature stencils once per sweep, plus one reading of the stacked
+    truths."""
     calls = []
 
     def counted(rotation):
@@ -316,8 +317,7 @@ def test_euclidean_sweep_linearizes_once(monkeypatch):
     cfg = ExperimentConfig(model="euclidean", sample_count=5, tau_grid=taus, seed=3)
     with pytest.warns(NonConcentratedWarning):
         run_sweep(cfg)
-    dim = 3
-    assert len(calls) == 1 + 2 * dim + 4 + 1
+    assert len(calls) == 1 + 2 + 4 + 1
 
 
 # -- CSV / gnuplot emission ------------------------------------------------------------

@@ -415,8 +415,8 @@ def test_singular_innovation_in_a_stack_names_its_index(so3):
 # -- linearization -------------------------------------------------------------------
 
 def per_pair_linearization(group, func, mu, P, step=1e-5):
-    """The linearization with one curvature stencil call per (i, j), summed
-    in (i, j) order."""
+    """The linearization with one slope stencil call per direction i and one
+    curvature stencil call per (i, j), summed in (i, j) order."""
     dim = group.dim
     slopes = np.stack([lie_derivative_right(group, func, mu, i, step)
                        for i in range(dim)], axis=1)
@@ -447,7 +447,8 @@ def test_linearize_matches_per_pair_stencils_bitwise(request, name):
 
     got = _linearize(group, counted, mu, P)
     dim, size = group.dim, group.mat_size
-    assert calls == [(size, size)] * (1 + 2 * dim) + [(dim * dim, size, size)] * 4
+    assert calls == ([(size, size)] + [(dim, size, size)] * 2
+                     + [(dim * dim, size, size)] * 4)
     for a, b in zip(got, per_pair_linearization(group, func, mu, P)):
         assert_bitwise(a, b)
 

@@ -1,6 +1,9 @@
+from math import lgamma
+
 import numpy as np
 import pytest
 
+from liefilter import groups
 from liefilter.errors import LieDomainError, SingularJacobianError
 from liefilter.groups import (
     SO3,
@@ -41,6 +44,43 @@ def phi_pair_longdouble(group, x, terms=60):
     inv = np.linalg.inv(jac.astype(float)).astype(ld)
     inv = inv + inv @ (eye - jac @ inv)
     return inv, -(inv @ djac @ inv)
+
+
+def phi_series_recurrence(group, x):
+    """``(J_l, dJ_l)`` by the term recurrence D_m = D_(m-1) A + A^(m-1) ad(e_k)
+    for D_m = d(A^m)/dx_k, A = ad(x), summed through the first m with
+    ||A||_1^m / (m+1)! < 1e-17 for the batch's largest ||A||_1: the reference
+    for the power-stack series, partials shaped (dim, ..., N, N)."""
+    A = group.ad(x)
+    n, batch = group.dim, A.shape[:-2]
+    norm = max(float(np.abs(A).sum(axis=-2).max(initial=0.0)), 1e-300)
+    last = 1
+    while last * np.log(norm) - lgamma(last + 2) >= np.log(1e-17):
+        last += 1
+    gens = np.ascontiguousarray(group.ad(np.eye(n)).transpose(1, 0, 2))   # [j, k, l]
+    term = A / 2                                   # the terms A^m / (m+1)!, D_m / (m+1)!
+    dterm = np.broadcast_to(gens, batch + (n, n, n)) / 2          # (..., i, k, l)
+    jac, djac = np.eye(n) + term, dterm.copy()
+    gens = gens.reshape(n, n * n)
+    for m in range(2, last + 1):
+        dterm = ((dterm.reshape(batch + (n * n, n)) @ A).reshape(batch + (n, n, n))
+                 + (term @ gens).reshape(batch + (n, n, n))) / (m + 1)
+        djac += dterm
+        term = term @ A / (m + 1)
+        jac += term
+    return jac, np.moveaxis(djac, -2, 0)
+
+
+def record_term_counts(monkeypatch):
+    """The list that every later ``groups._phi_terms`` result is appended to."""
+    counts, terms = [], groups._phi_terms
+
+    def counted(*args):
+        counts.append(terms(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(groups, "_phi_terms", counted)
+    return counts
 
 
 def fd_jacobian(group, x, side, step=1e-6):
@@ -308,6 +348,57 @@ def test_generic_pair_matches_longdouble_phi_series(request, name):
         assert np.abs(parts[:, i] - want_parts).max() < 1e-13
 
 
+@pytest.mark.parametrize("batch", [(), (12,), (2, 5)])
+@pytest.mark.parametrize("name", ["generic_so3", "se3"])
+def test_power_stack_series_matches_term_recurrence(request, name, batch):
+    # J_l, alone and with every partial, within 1e-14 of the recurrence,
+    # relative to the largest entry, for |x| up to 3.1
+    group = request.getfixturevalue(name)
+    rng = np.random.default_rng(59)
+    xs = rng.standard_normal(batch + (group.dim,))
+    xs *= rng.uniform(0.0, 3.1, batch + (1,)) / np.linalg.norm(xs, axis=-1, keepdims=True)
+    cases = [xs, 3.1 * xs / np.linalg.norm(xs, axis=-1, keepdims=True)]
+    for x in cases:
+        jac, djac = group._phi_series(x, partials=True)
+        want_jac, want_djac = phi_series_recurrence(group, x)
+        assert jac.shape == want_jac.shape and djac.shape == want_djac.shape
+        assert np.abs(jac - want_jac).max() <= 1e-14 * np.abs(want_jac).max()
+        assert np.abs(djac - want_djac).max() <= 1e-14 * np.abs(want_djac).max()
+        alone, none = group._phi_series(x)
+        assert none is None and np.abs(alone - want_jac).max() <= 1e-14 * np.abs(want_jac).max()
+
+
+@pytest.mark.parametrize("rho", [10.0, 100.0, 1000.0])
+def test_generic_pair_term_count_follows_the_powers(se3, monkeypatch, rho):
+    # A translation rho enters every power of ad x only linearly, so at
+    # rotation 0.37 the count stays at most 40 and the pair within 1e-13 of
+    # the long double series; at rho = 1000 the pair stays finite.
+    rng = np.random.default_rng(61)
+    rot, trans = rng.standard_normal((2, 3))
+    x = np.concatenate([0.37 * rot / np.linalg.norm(rot), rho * trans / np.linalg.norm(trans)])
+    counts = record_term_counts(monkeypatch)
+    jinv, parts = se3.left_jacobian_inv_partials(x)
+    assert np.isfinite(jinv).all() and np.isfinite(parts).all()
+    assert counts[-1] is not None and counts[-1] <= 40
+    if rho <= 100:
+        want_inv, want_parts = phi_pair_longdouble(se3, x)
+        assert np.abs(jinv - want_inv).max() <= 1e-13 * np.abs(want_inv).max()
+        assert np.abs(parts - want_parts).max() <= 1e-13 * np.abs(want_parts).max()
+
+
+def test_generic_series_past_the_kept_weight_table(so3, generic_so3, monkeypatch):
+    # |x| = 14 needs more than the 64 powers whose weights a group keeps; the
+    # series then cancels terms up to 14^14 / 14! ~ 1e5, so it matches the
+    # closed forms to about 1e-11, within the 1e-9 bound.
+    x = 14.0 * np.array([[0.6, 0.0, 0.8], [0.0, 0.28, 0.96]])
+    counts = record_term_counts(monkeypatch)
+    got = (generic_so3.left_jacobian(x),) + generic_so3.left_jacobian_inv_partials(x)
+    assert min(count for count in counts if count is not None) > 64
+    want = (so3.left_jacobian(x),) + so3.left_jacobian_inv_partials(x)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+
+
 @pytest.mark.parametrize("name", ["generic_so3", "se3"])
 def test_generic_jacobian_singular_at_two_pi(request, name):
     group = request.getfixturevalue(name)
@@ -484,6 +575,48 @@ def test_lie_second_derivative_linear_map_analytic(so3):
             exact = (g0 @ so3.basis[i] @ so3.basis[j]).T @ v
             got = lie_derivative_right_second(so3, f, g0, i, j)
             assert np.abs(got - exact).max() < 1e-5
+
+
+@pytest.mark.parametrize("name", ["so3", "se3"])
+def test_lie_derivative_index_arrays_match_scalar_calls(request, name):
+    # An index array i = arange(N), as fusion's linearization passes it,
+    # hands f two (N, n, n) stacks whose elements are the per-direction
+    # stencil products bit for bit; (N, 1) gives (N, 1, n, n) stacks and a
+    # stack of g, (B, n, n), gives (N, B, n, n).  The derivatives are the
+    # per-direction ones bit for bit.
+    group = request.getfixturevalue(name)
+    dim, size = group.dim, group.mat_size
+    rng = np.random.default_rng(67)
+    g = group.exp(0.7 * rng.standard_normal(dim))
+    v = rng.standard_normal(size)
+    seen = []
+
+    def f(h):
+        seen.append(h)
+        return np.einsum("...ji,j->...i", h, v)
+
+    axis = np.arange(dim)
+    got = lie_derivative_right(group, f, g, axis)
+    stacks = seen[:]
+    assert [h.shape for h in stacks] == [(dim, size, size)] * 2
+    assert got.shape == (dim, size)
+    seen.clear()
+    column = lie_derivative_right(group, f, g, axis[:, None])
+    assert [h.shape for h in seen] == [(dim, 1, size, size)] * 2
+    assert_bitwise(column.reshape(got.shape), got)
+    for i in range(dim):
+        seen.clear()
+        want = lie_derivative_right(group, f, g, i)
+        assert [h.shape for h in seen] == [(size, size)] * 2
+        for stack, single in zip(stacks, seen):
+            assert_bitwise(stack[i], single)
+        assert_bitwise(got[i], want)
+    gs = group.exp(0.5 * rng.standard_normal((4, dim)))
+    seen.clear()
+    got = lie_derivative_right(group, f, gs, axis)
+    assert [h.shape for h in seen] == [(dim, 4, size, size)] * 2
+    for i in range(dim):
+        assert_bitwise(got[i], lie_derivative_right(group, f, gs, i))
 
 
 @pytest.mark.parametrize("name", ["so3", "se3"])
