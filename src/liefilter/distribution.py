@@ -50,12 +50,12 @@ def project_psd(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return (vecs * np.maximum(vals, floor)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-def sqrt_psd(cov: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def sqrt_psd(cov: np.ndarray) -> np.ndarray:
     """Symmetric square root; eigenvalues below 1e-12 are clamped to zero."""
     cov = symmetrize(np.asarray(cov, float))
     vals, vecs = np.linalg.eigh(cov)
     scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    if np.min(vals, initial=0.0) < -tol * scale:
+    if np.min(vals, initial=0.0) < -1e-8 * scale:
         raise CholeskyFailureError(
             f"matrix is not PSD within tolerance (min eigenvalue {vals.min():.3e})")
     vals = np.where(vals < 1e-12, 0.0, vals)

@@ -177,8 +177,7 @@ def _posterior(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,
 
 
 def _linearize(group: MatrixLieGroup, func: Callable[[np.ndarray], np.ndarray],
-               mu: np.ndarray, P: np.ndarray, step: float = _DERIVATIVE_STEP
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               mu: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Linearization of ``func`` at the prior mean: k(mu), the (M, N) right
     Lie derivative slopes and the curvature P_ij (E_i^r E_j^r k).  The N
     slopes come from one stencil call, which calls ``func`` on (N, n, n)
@@ -187,9 +186,9 @@ def _linearize(group: MatrixLieGroup, func: Callable[[np.ndarray], np.ndarray],
     observations sharing a prior can share it."""
     dim, axis = group.dim, np.arange(group.dim)
     k_mu = np.asarray(func(mu), float)
-    slopes = lie_derivative_right(group, func, mu, axis, step).T            # (M, N)
+    slopes = lie_derivative_right(group, func, mu, axis, _DERIVATIVE_STEP).T  # (M, N)
     second = lie_derivative_right_second(group, func, mu, np.repeat(axis, dim),
-                                         np.tile(axis, dim), step)
+                                         np.tile(axis, dim), _DERIVATIVE_STEP)
     if second.shape != (dim * dim,) + k_mu.shape:
         raise ValueError(f"the observation map gave shape {second.shape} for "
                          f"{dim * dim} stacked group elements, not "
@@ -218,8 +217,7 @@ def _kalman_step(linearization: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
                    obs: ObservationModelEuclidean, z: np.ndarray,
-                   modified: bool = True, step: float = _DERIVATIVE_STEP
-                   ) -> ConcentratedGaussian:
+                   modified: bool = True) -> ConcentratedGaussian:
     """Closed-form update for a vector observation.
 
     The observation map is linearized through right Lie derivatives at the
@@ -238,7 +236,7 @@ def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
     mu = np.asarray(prior.mean, float)
     P = symmetrize(np.asarray(prior.cov, float))
     R = symmetrize(np.asarray(obs.noise_cov, float))
-    m, cov = _kalman_step(_linearize(group, obs.func, mu, P, step), P, R,
+    m, cov = _kalman_step(_linearize(group, obs.func, mu, P), P, R,
                           np.asarray(z, float))
     return _posterior(group, mu, m, cov, modified)
 

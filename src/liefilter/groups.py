@@ -139,9 +139,6 @@ class MatrixLieGroup:
         flat = mat.reshape(*mat.shape[:-2], -1)
         return flat @ self._vee_map
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.mat_size)
-
     def in_domain(self, x: np.ndarray) -> np.ndarray:
         """Predicate for the chart domain of exponential coordinates."""
         return np.ones(np.shape(x)[:-1], dtype=bool)

@@ -23,7 +23,7 @@ from .distribution import (
 )
 from .errors import StepRejectedError
 from .groups import MatrixLieGroup
-from .sde import SdeModel, _ito_curvature
+from .sde import STRATONOVICH, SdeModel, _chart_coefficients, stratonovich_to_ito
 
 _PSD_SLACK = 1e-8
 
@@ -51,25 +51,22 @@ class PropagationConfig:
 def moment_velocities(group: MatrixLieGroup, state: PropagationState, model: SdeModel,
                       cfg: PropagationConfig) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance velocities ``(v, dcov)``: the fitting formula applied
-    to the chart drift f = curvature + J_r^-1 h of the coordinate process.
+    to the chart SDE dx = a dt + B dW of the coordinate process around the mean.
 
-    With m = <f>, v = <J_l^-1>^-1 m and dcov = sym(M + M^T + <J_r^-1 H H^T J_r^-T>)
-    for M = <f x^T> - <J_l^-1 v x^T>, all under N(0, cov).  The diffusion
-    matrix is evaluated once at the current mean and held fixed across the
-    step; the propagation law assumes a constant H, so any time dependence
-    enters only through this per-step evaluation.
+    The coefficients (a, B) come from the chart transform of :mod:`.sde` on the
+    cubature nodes, drift and diffusion both evaluated at each node; a
+    Stratonovich model is converted to its Ito form first.  With m = <a>,
+    v = <J_l^-1>^-1 m and dcov = sym(M + M^T + <B B^T>) for
+    M = <a x^T> - <J_l^-1 v x^T>, all under N(0, cov).
     """
+    if model.interpretation == STRATONOVICH:
+        model = stratonovich_to_ito(group, model)
     pts = expectation_nodes(np.zeros(group.dim), state.cov, cfg.expectation)
-    big_h = np.asarray(model.diffusion(state.mean, state.t), float)
-    hht = big_h @ big_h.T
-    jri, rparts = group.right_jacobian_inv_partials(pts)
+    drift, big, jri = _chart_coefficients(group, model, state.mean, pts, state.t)
     jli = jri - group.ad(pts)       # J_l^-1(x) = J_r^-1(x) - ad(x): no second series
-    h_chart = np.asarray(model.drift(state.mean @ group.exp(pts), state.t), float)
-    h_chart = np.broadcast_to(h_chart, pts.shape)
-    drift = _ito_curvature(jri, rparts, hht) + np.einsum("...ij,...j->...i", jri, h_chart)
     v, cross = _fitting_terms(jli, pts, drift.mean(axis=0))
     lead = (drift[..., :, None] * pts[..., None, :]).mean(axis=0) - cross
-    spread = (jri @ hht @ np.swapaxes(jri, -1, -2)).mean(axis=0)
+    spread = (big @ np.swapaxes(big, -1, -2)).mean(axis=0)
     return v, symmetrize(lead + lead.T + spread)
 
 

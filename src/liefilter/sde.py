@@ -72,6 +72,10 @@ class PathConfig:
     def __post_init__(self):
         if not isinstance(self.steps, numbers.Integral) or self.steps < 1:
             raise ValueError("steps must be an integer >= 1")
+        if not isinstance(self.path_count, numbers.Integral) or self.path_count < 1:
+            raise ValueError("path_count must be an integer >= 1")
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= int(self.seed) < 2**64:
+            raise ValueError("seed must be an integer in [0, 2**64)")
         if not self.total_time > 0 or not np.isfinite(self.total_time):
             raise ValueError("total_time must be positive and finite")
 
@@ -170,36 +174,40 @@ def _ito_curvature(jri: np.ndarray, parts: np.ndarray, hht: np.ndarray) -> np.nd
     return 0.5 * total
 
 
+def _chart_coefficients(group: MatrixLieGroup, model: SdeModel, mu: np.ndarray,
+                        x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chart coefficients ``(a, B, J_r^-1)`` of an Ito injection SDE at the
+    chart points x around mu, from one exp, one drift and one diffusion call
+    on g = mu exp(x) and one (J_r^-1, dJ_r^-1) pair:
+    a = J_r^-1 h + (1/2) (d J_r^-1/dx_k) H H^T J_r^-T e_k, summed over k, and
+    B = J_r^-1 H."""
+    x = np.asarray(x, float)
+    g = mu @ group.exp(x)
+    h = np.asarray(model.drift(g, t), float)
+    big = np.asarray(model.diffusion(g, t), float)
+    del g                      # freed before the partials: lower peak memory
+    jri, parts = group.right_jacobian_inv_partials(x)
+    corr = _ito_curvature(jri, parts, big @ np.swapaxes(big, -1, -2))
+    return _mv(jri, h) + corr, jri @ big, jri
+
+
 def ito_injection_to_parametric(group: MatrixLieGroup, model: SdeModel,
                                 mu: np.ndarray) -> ParametricSdeModel:
-    """Chart-form coefficients reproducing an Ito injection SDE around mu.
-
-    a = J_r^-1 h + (1/2) (d J_r^-1/dx_k) H H^T J_r^-T e_k, summed over k, and
-    B = J_r^-1 H, from one exp and one (J_r^-1, dJ_r^-1) pair per call.
-    """
+    """Chart-form coefficients ``(a, B)`` reproducing an Ito injection SDE
+    around mu, from :func:`_chart_coefficients`, the chart transform that
+    moment propagation also uses."""
     if model.interpretation != ITO:
         raise ValueError("ito_injection_to_parametric requires an Ito model")
     mu = np.asarray(mu, float)
-
-    def coefficients(x, t):
-        x = np.asarray(x, float)
-        g = mu @ group.exp(x)
-        h = np.asarray(model.drift(g, t), float)
-        big = np.asarray(model.diffusion(g, t), float)
-        del g                      # freed before the partials: lower peak memory
-        jri, parts = group.right_jacobian_inv_partials(x)
-        corr = _ito_curvature(jri, parts, big @ np.swapaxes(big, -1, -2))
-        return _mv(jri, h) + corr, jri @ big
-
-    return ParametricSdeModel(mu, coefficients, ITO)
+    return ParametricSdeModel(
+        mu, lambda x, t: _chart_coefficients(group, model, mu, x, t)[:2], ITO)
 
 
-def stratonovich_to_ito(group: MatrixLieGroup, model: SdeModel,
-                        step: float = 1e-5) -> SdeModel:
+def stratonovich_to_ito(group: MatrixLieGroup, model: SdeModel) -> SdeModel:
     """Equivalent Ito drift for a Stratonovich injection SDE.
 
     h = h_s + (1/2) E_i^r(H_s[k, j]) H_s[i, j] e_k with the right derivatives
-    taken by central differences along the one-parameter subgroups.
+    taken by central differences (step 1e-5) along the one-parameter subgroups.
     """
     if model.interpretation != STRATONOVICH:
         raise ValueError("stratonovich_to_ito requires a Stratonovich model")
@@ -210,7 +218,7 @@ def stratonovich_to_ito(group: MatrixLieGroup, model: SdeModel,
         big = np.asarray(model.diffusion(g, t), float)
         corr = 0.0
         for i in range(group.dim):
-            deriv = lie_derivative_right(group, lambda h: model.diffusion(h, t), g, i, step)
+            deriv = lie_derivative_right(group, lambda h: model.diffusion(h, t), g, i)
             corr = corr + 0.5 * np.einsum("...kj,...j->...k", deriv, big[..., i, :])
         return hs + corr
 
@@ -237,12 +245,11 @@ def stratonovich_injection_to_parametric(group: MatrixLieGroup, model: SdeModel,
 
 
 def parametric_stratonovich_to_ito(group: MatrixLieGroup,
-                                   model: ParametricSdeModel,
-                                   step: float = 1e-6) -> ParametricSdeModel:
+                                   model: ParametricSdeModel) -> ParametricSdeModel:
     """Euclidean Stratonovich-to-Ito correction of the chart SDE,
     a + (1/2) sum_j (dB/dx_j) B e_j, over any leading batch axes of the chart
     points; the derivatives of B along the dim coordinate axes are central
-    differences evaluated in one call on a leading axis of shifted points.
+    differences (step 1e-6) evaluated in one call on a leading axis of shifted points.
     """
     if model.interpretation != STRATONOVICH:
         raise ValueError("parametric_stratonovich_to_ito requires a "
@@ -252,9 +259,9 @@ def parametric_stratonovich_to_ito(group: MatrixLieGroup,
     def coefficients(x, t):
         x = np.asarray(x, float)
         a, b = model.coefficients(x, t)
-        shifts = step * np.eye(dim).reshape((dim,) + (1,) * (x.ndim - 1) + (dim,))
+        shifts = 1e-6 * np.eye(dim).reshape((dim,) + (1,) * (x.ndim - 1) + (dim,))
         db = np.broadcast_to((model.coefficients(x + shifts, t)[1]
-                              - model.coefficients(x - shifts, t)[1]) / (2 * step),
+                              - model.coefficients(x - shifts, t)[1]) / 2e-6,
                              (dim,) + x.shape + (dim,))       # db[j] = dB/dx_j
         return a + 0.5 * np.einsum("j...il,...jl->...i", db, b), b
 

@@ -153,6 +153,16 @@ def test_path_config_validation():
         with pytest.raises(ValueError, match="steps must be an integer >= 1"):
             PathConfig(total_time=1.0, steps=steps, seed=0)
     assert PathConfig(total_time=1.0, steps=np.int64(4), seed=0).dt == 0.25
+    # the Philox key is the seed modulo 2**64, so -1 and 2**64 would alias
+    # 2**64 - 1 and 0
+    for seed in (-1, 2**64, 2.5, 3.0, float("nan"), "7"):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            PathConfig(total_time=1.0, steps=5, seed=seed)
+    for count in (0, -1, 2.5, float("nan"), np.float64(3.0)):
+        with pytest.raises(ValueError, match="path_count must be an integer >= 1"):
+            PathConfig(total_time=1.0, steps=5, seed=0, path_count=count)
+    for seed in (0, np.uint64(2**64 - 1), 2**64 - 1):
+        assert PathConfig(total_time=1.0, steps=5, seed=seed, path_count=np.int64(2)).seed == seed
 
 
 def test_parametric_domain_exit_reports_step(so3):
