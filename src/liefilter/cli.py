@@ -53,7 +53,6 @@ def main(argv=None) -> int:
             sample_count=args.n,
             tau_grid=default_tau_grid(args.tau_min, args.tau_max, args.tau_points),
             seed=args.seed,
-            output=args.out,
         )
     except ValueError as exc:
         parser.error(str(exc))                 # exits with status 2
@@ -63,13 +62,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        emit_csv(records, cfg.output, include_timing=args.timing)
+        emit_csv(records, args.out, include_timing=args.timing)
         if args.emit_gnuplot:
-            emit_gnuplot(cfg.output, str(cfg.output) + ".gp")
+            emit_gnuplot(args.out, args.out + ".gp")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(records)} tau points to {cfg.output}")
+    print(f"wrote {len(records)} tau points to {args.out}")
     return 0
 
 

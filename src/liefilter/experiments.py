@@ -32,7 +32,7 @@ from .errors import (
 )
 # fuse_group stays importable here: bench/test_gates.py checks that the tracer
 # wraps a name imported into two modules through it.
-from .fusion import _group_step, _kalman_step, _linearize, _posterior_mean, fuse_group  # noqa: F401
+from .fusion import _kalman_step, _linearize, _posterior_mean, fuse_group  # noqa: F401
 from .groups import SO3
 
 log = logging.getLogger(__name__)
@@ -61,7 +61,6 @@ class ExperimentConfig:
     sample_count: int = 10_000
     tau_grid: np.ndarray = field(default_factory=default_tau_grid)
     seed: int = 42
-    output: str = "results.csv"
 
     def __post_init__(self):
         if self.model not in ("euclidean", "group"):
@@ -262,15 +261,15 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     noise *= np.sqrt(taus[:, None, None] * np.diag(shape))
     R = symmetrize(taus[:, None, None] * shape)
     if euclidean:
-        valid = True
-        m, cov = _kalman_step(_linearize(_SO3, measure_euclidean, mu, P), P, R,
-                              measure_euclidean(truth) + noise)
+        linearization = _linearize(_SO3, measure_euclidean, mu, P)
+        z, valid = measure_euclidean(truth) + noise, True
     else:
-        # the innovation's mask is the screen: its rows leave through ok,
-        # zeroed so that no NaN reaches the corrected covariance's eigh
-        y, valid = _SO3.log_masked(np.linalg.inv(mu) @ (truth @ _SO3.exp(noise)))
-        y[~valid] = 0.0
-        m, cov = _group_step(P, R, y)
+        # H = I; the innovation's mask is the screen: its rows leave through
+        # ok, zeroed so that no NaN reaches the corrected covariance's eigh
+        linearization = (0.0, np.eye(3), 0.0)
+        z, valid = _SO3.log_masked(np.linalg.inv(mu) @ (truth @ _SO3.exp(noise)))
+        z[~valid] = 0.0
+    m, cov = _kalman_step(linearization, P, R, z)
     truth_inv = np.swapaxes(truth, -1, -2)
     (e_plain, ok_plain), (e_mod, ok_mod) = [
         _SO3.log_masked(truth_inv @ _posterior_mean(_SO3, mu, m, cov, flag))

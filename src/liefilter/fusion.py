@@ -8,11 +8,12 @@ Three routes are provided:
 * :func:`fuse_euclidean` is the closed-form specialization for vector
   observations, built from numerical right Lie derivatives of the observation
   map and carrying a second-order innovation correction;
-* :func:`fuse_group` is the closed-form specialization for full-state group
-  observations.
+* :func:`fuse_group` is the same Kalman update with H = I, for full-state
+  group observations.
 
-Both closed forms end with an optional mean/covariance correction that moves
-the chart posterior to the group-theoretic posterior; disabling it
+Both closed forms raise ``InnovationSingularError`` on an ill-conditioned
+innovation covariance and end with an optional mean/covariance correction
+that moves the chart posterior to the group-theoretic posterior; disabling it
 (``modified=False``) reproduces the plain Kalman projection, which is the
 baseline the experiment harness compares against.
 """
@@ -129,50 +130,37 @@ def gaussian_update_general(group: MatrixLieGroup,
     return PosteriorCoordinates(m, cov, predicted, S, C, K)
 
 
-def _per_sample(cov: np.ndarray) -> np.ndarray:
-    """The chart covariance broadcast against its chart means: one ``(N, N)``
-    serves means ``(..., N)`` as it is, and a stack ``(T, N, N)`` serves
-    means ``(T, S, N)`` through an inserted sample axis."""
-    return cov if cov.ndim == 2 else cov[..., None, :, :]
-
-
-def _corrected_mean(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray
+def _corrected_mean(ad_basis: np.ndarray, m: np.ndarray, cov: np.ndarray
                     ) -> np.ndarray:
-    """Closed-form mean correction m' = (I - (1/12) cov_ij ad_i ad_j) m, for
-    chart means ``(..., N)`` sharing one covariance ``(N, N)``, or means
-    ``(T, S, N)`` with one covariance per leading index, ``(T, N, N)``."""
-    ad_basis = group.ad(np.eye(group.dim))                 # ad_basis[i] = ad(e_i)
+    """Closed-form mean correction m' = (I - (1/12) cov_ij ad_i ad_j) m, ad_i =
+    ``ad_basis[i]``, for chart means ``(..., N)`` sharing one covariance
+    ``(N, N)``, or means ``(T, S, N)`` with one covariance per leading index."""
     quad = np.einsum("...ij,iab,jbc->...ac", cov, ad_basis, ad_basis)
-    return m @ np.swapaxes(np.eye(group.dim) - quad / 12.0, -1, -2)
-
-
-def _modification(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """The corrected mean m' of :func:`_corrected_mean` and the matching
-    covariance adjustment sym((1/2) cov_ij ad_i m' e_j^T)."""
-    m_prime = _corrected_mean(group, m, cov)
-    adm = np.einsum("iab,...b->...ia", group.ad(np.eye(group.dim)), m_prime)  # ad_i m'
-    cov = _per_sample(cov)
-    bump = 0.5 * np.einsum("...ij,...ia->...aj", cov, adm)
-    return m_prime, cov + bump + np.swapaxes(bump, -1, -2)
+    return m @ np.swapaxes(np.eye(len(ad_basis)) - quad / 12.0, -1, -2)
 
 
 def _posterior_mean(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,
                     cov: np.ndarray, modified: bool) -> np.ndarray:
     """The mean of :func:`_posterior` alone, without its covariance."""
-    return mu @ group.exp(_corrected_mean(group, m, cov) if modified else m)
+    return mu @ group.exp(_corrected_mean(group.ad(np.eye(group.dim)), m, cov)
+                          if modified else m)
 
 
 def _posterior(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,
                cov: np.ndarray, modified: bool) -> ConcentratedGaussian:
     """Map chart means ``(..., N)`` and the shared, already projected chart
     covariance (or ``(T, N, N)`` for means ``(T, S, N)``) to the group
-    posterior, with or without the correction."""
+    posterior, with or without the correction: the mean m' of
+    :func:`_corrected_mean` and the covariance plus sym((1/2) cov_ij ad_i m' e_j^T)."""
+    per_sample = cov if cov.ndim == 2 else cov[..., None, :, :]   # against (T, S, N)
     if modified:
-        m, cov = _modification(group, m, cov)
-        cov = project_psd(cov)
+        ad_basis = group.ad(np.eye(group.dim))                 # ad_basis[i] = ad(e_i)
+        m = _corrected_mean(ad_basis, m, cov)
+        adm = np.einsum("iab,...b->...ia", ad_basis, m)        # ad_i m'
+        bump = 0.5 * np.einsum("...ij,...ia->...aj", per_sample, adm)
+        cov = project_psd(per_sample + bump + np.swapaxes(bump, -1, -2))
     else:
-        cov = np.broadcast_to(_per_sample(cov), m.shape[:-1] + cov.shape[-2:]).copy()
+        cov = np.broadcast_to(per_sample, m.shape[:-1] + cov.shape[-2:]).copy()
     return ConcentratedGaussian(mu @ group.exp(m), cov)
 
 
@@ -202,7 +190,8 @@ def _kalman_step(linearization: tuple[np.ndarray, np.ndarray, np.ndarray],
                  P: np.ndarray, R: np.ndarray, z: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Chart means ``(..., N)`` and the shared projected chart covariance for
-    observations ``z`` of shape ``(..., M)``, given the linearization, the
+    observations ``z`` of shape ``(..., M)``, given the linearization
+    ``(k(mu), H, bend)`` (``(0, I, 0)`` for a full-state innovation), the
     symmetrized prior covariance ``P`` and noise covariance ``R``.  A stack
     ``R`` of shape ``(T, M, M)`` meets observations ``(T, S, M)`` and gives
     means ``(T, S, N)`` and one covariance per leading index, ``(T, N, N)``."""
@@ -241,30 +230,21 @@ def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,
     return _posterior(group, mu, m, cov, modified)
 
 
-def _group_step(P: np.ndarray, R: np.ndarray, y: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Chart means ``(..., N)`` and the shared projected chart covariance for
-    full-state innovations ``y = log(mu^-1 g_z)`` of shape ``(..., N)``,
-    given the symmetrized prior and noise covariances; a stack ``R`` of
-    shape ``(T, N, N)`` meets innovations ``(T, S, N)`` as in
-    :func:`_kalman_step`."""
-    gain_t = np.linalg.solve(np.swapaxes(P + R, -1, -2), P.T)    # (P (P+R)^-1)^T
-    return y @ gain_t, project_psd(P - np.swapaxes(gain_t, -1, -2) @ P)
-
-
 def fuse_group(group: MatrixLieGroup, prior: ConcentratedGaussian,
                obs: ObservationModelGroup, g_z: np.ndarray,
                modified: bool = True) -> ConcentratedGaussian:
-    """Closed-form update for a full-state observation on the same group;
-    a batch ``g_z`` of shape ``(..., n, n)`` shares the prior and the gain.
-    A stack ``obs.noise_cov`` of shape ``(T, N, N)`` meets observations
-    ``(T, S, n, n)``: each leading index gets its own gain, and the
-    posterior has mean ``(T, S, n, n)`` and covariance ``(T, S, N, N)``."""
+    """Closed-form update for a full-state observation on the same group: the
+    Kalman step with H = I on log(mu^-1 g_z), raising ``InnovationSingularError``
+    as :func:`fuse_euclidean` does.  A batch ``g_z`` of shape ``(..., n, n)``
+    shares the prior and the gain.  A stack ``obs.noise_cov`` of shape
+    ``(T, N, N)`` meets observations ``(T, S, n, n)``: each leading index gets
+    its own gain, and the posterior has mean ``(T, S, n, n)`` and covariance
+    ``(T, S, N, N)``."""
     mu = np.asarray(prior.mean, float)
     P = symmetrize(np.asarray(prior.cov, float))
     R = symmetrize(np.asarray(obs.noise_cov, float))
     y = group.log(np.linalg.inv(mu) @ np.asarray(g_z, float))
-    return _posterior(group, mu, *_group_step(P, R, y), modified)
+    return _posterior(group, mu, *_kalman_step((0.0, np.eye(group.dim), 0.0), P, R, y), modified)
 
 
 def cost_c1(group: MatrixLieGroup, truths: np.ndarray,

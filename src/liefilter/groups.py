@@ -431,8 +431,8 @@ class SO3(MatrixLieGroup):
 class DiagonalGroup(MatrixLieGroup):
     """R^N embedded as positive diagonal matrices under multiplication.
 
-    The product commutes exactly, every Jacobian is the identity and every
-    bracket vanishes, which makes this group a convenient flat oracle.
+    The product commutes exactly and every bracket vanishes, so the inherited
+    ``ad`` and Jacobians are exactly 0 and I: a convenient flat oracle.
     """
 
     def __init__(self, dim: int = 3):
@@ -455,21 +455,9 @@ class DiagonalGroup(MatrixLieGroup):
             raise LieDomainError("diagonal entries must be positive")
         return np.log(diag)
 
-    def ad(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(np.shape(x)[:-1] + (self.dim, self.dim))
-
     def adjoint(self, g: np.ndarray) -> np.ndarray:
         g = np.asarray(g, float)
         return np.broadcast_to(np.eye(self.dim), g.shape[:-2] + (self.dim, self.dim)).copy()
-
-    def _jac(self, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.eye(self.dim), np.shape(x)[:-1] + (self.dim, self.dim)).copy()
-
-    left_jacobian = _jac
-    left_jacobian_inv = _jac
-
-    def left_jacobian_inv_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._jac(x), np.zeros((self.dim,) + np.shape(x)[:-1] + (self.dim, self.dim))
 
 
 # -- Lie directional derivatives --------------------------------------------

@@ -91,7 +91,10 @@ def wiener_halves(seed: int, step: int, path_count: int, dim: int,
     Row p is a pure function of (seed, p, step); summing over axis 1 gives the
     full-step increment, the first half alone feeds midpoint predictors.
     """
-    bitgen = np.random.Philox(key=seed & (2**64 - 1), counter=[0, 0, 0, step])
+    key = int(seed)
+    if not 0 <= key < 2**64:
+        raise ValueError("seed must be an integer in [0, 2**64)")
+    bitgen = np.random.Philox(key=key, counter=[0, 0, 0, step])
     rng = np.random.Generator(bitgen)
     return rng.standard_normal((path_count, 2, dim)) * np.sqrt(dt / 2.0)
 

@@ -315,6 +315,13 @@ def test_singular_innovation_raises(so3):
     prior = ConcentratedGaussian(np.eye(3), 0.05 * np.eye(3))
     with np.testing.assert_raises(InnovationSingularError):
         fuse_euclidean(so3, prior, obs, np.zeros(6))
+    # the full-state update is the same Kalman step with H = I, so S = P + R
+    # meets the same guard: singular, and ill-conditioned but invertible
+    g_z = so3.exp(np.array([0.1, -0.2, 0.05]))
+    for prior_cov in (np.zeros((3, 3)), np.diag([1e-14, 1.0, 1.0])):
+        with np.testing.assert_raises(InnovationSingularError):
+            fuse_group(so3, ConcentratedGaussian(np.eye(3), prior_cov),
+                       ObservationModelGroup(so3, np.zeros((3, 3))), g_z)
 
 
 def test_costs_increase_when_estimates_perturbed(so3):

@@ -76,6 +76,21 @@ def test_parametric_zero_coefficients_constant(so3):
 
 # -- small-noise statistics -------------------------------------------------------
 
+@pytest.mark.parametrize("sigma, total_time, steps", [(0.5, 1.0, 100), (1.0, 0.5, 50)])
+def test_sampler_mean_matches_closed_form(so3, sigma, total_time, steps):
+    # E[exp(s Z)] = c(s) I for Z ~ N(0, I_3), c(s) = (1 + 2 (1 - s^2) e^(-s^2/2)) / 3
+    # (trace 1 + 2 cos|sZ|), and the increments are independent, so the Ito
+    # injection sampler g exp(sigma dW) has E[g_N] = g_0 c(sigma sqrt(dt))^N
+    g0 = so3.exp(np.array([0.3, -0.2, 0.5]))
+    model = SdeModel(const(np.zeros(3)), const(sigma * np.eye(3)))
+    cfg = PathConfig(total_time, steps, seed=1, path_count=20_000)
+    finals = sample_nonparametric_path(so3, model, g0, cfg, store_path=False)
+    s2 = sigma**2 * cfg.dt
+    want = g0 * ((1 + 2 * (1 - s2) * np.exp(-s2 / 2)) / 3) ** steps
+    stderr = finals.std(axis=0, ddof=1) / np.sqrt(cfg.path_count)
+    assert np.all(np.abs(finals.mean(axis=0) - want) < 4.5 * stderr)
+
+
 def test_isotropic_diffusion_covariance(so3):
     sigma, total = 0.2, 0.5
     model = SdeModel(const(np.zeros(3)), const(sigma * np.eye(3)))
@@ -139,6 +154,17 @@ def test_wiener_halves_pure_function_of_key():
     c = wiener_halves(5, 4, 10, 3, 1e-3)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_wiener_halves_keys_philox_with_the_seed_itself():
+    # a seed reduced modulo 2**64 would alias -1 with 2**64 - 1 and 2**64 with 0
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            wiener_halves(seed, 7, 4, 3, 1e-2)
+    for seed in (0, 2**64 - 1):
+        direct = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 7]))
+        want = direct.standard_normal((4, 2, 3)) * np.sqrt(1e-2 / 2.0)
+        assert_bitwise(wiener_halves(seed, 7, 4, 3, 1e-2), want)
 
 
 def test_path_config_validation():
