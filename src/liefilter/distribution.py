@@ -51,15 +51,17 @@ def project_psd(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:
 
 
 def sqrt_psd(cov: np.ndarray) -> np.ndarray:
-    """Symmetric square root; eigenvalues below 1e-12 are clamped to zero."""
+    """Symmetric square root of a matrix, or a stack of them, each checked
+    PSD against its own largest eigenvalue; eigenvalues below 1e-12 are
+    clamped to zero."""
     cov = symmetrize(np.asarray(cov, float))
     vals, vecs = np.linalg.eigh(cov)
-    scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
-    if np.min(vals, initial=0.0) < -1e-8 * scale:
+    scale = np.maximum(1.0, np.abs(vals).max(axis=-1, initial=0.0))
+    if np.any(vals.min(axis=-1, initial=0.0) < -1e-8 * scale):
         raise CholeskyFailureError(
             f"matrix is not PSD within tolerance (min eigenvalue {vals.min():.3e})")
     vals = np.where(vals < 1e-12, 0.0, vals)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def cubature_points(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:

@@ -9,9 +9,10 @@ sweep of the noise scale tau.
 Every random quantity of sample ``i`` at sweep point ``j`` derives from its
 own stream ``SeedSequence(seed, spawn_key=(j, i))``, so results are
 reproducible and independent of evaluation order.  The streams' PCG64 seed
-words are hashed for the whole (tau, sample) grid at once, bit for bit as
-numpy's ``SeedSequence`` computes them, rather than one ``SeedSequence`` per
-sample.
+words are hashed for the whole (tau, sample) grid at once, the four words of
+the entropy pool as four lanes of one array, bit for bit as numpy's
+``SeedSequence`` computes them, rather than one ``SeedSequence`` per sample.
+The costs of all taus are scored together, one reduction per cost column.
 """
 
 from __future__ import annotations
@@ -130,42 +131,45 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
+def _hash_lanes(value: np.ndarray, lanes: int, const: int, mult: int):
+    """numpy's SeedSequence ``hashmix`` of ``lanes`` values in turn, lane
+    first, value broadcasting to (lanes, taus, count); the hash constant is a
+    Python int advanced by ``mult`` per lane.  Returns the hashed lanes and
+    the next constant."""
+    consts = [const]
+    for _ in range(lanes):
+        consts.append(consts[-1] * mult & _MASK32)
+    table = np.array(consts, dtype=np.uint32).reshape(-1, 1, 1)
+    value = (value ^ table[:-1]) * table[1:]
+    return value ^ value >> 16, consts[-1]
+
+
 def _stream_words(seed: int, taus: int, count: int) -> np.ndarray:
     """PCG64 seed words ``SeedSequence(seed, spawn_key=(j, i))
     .generate_state(4, np.uint64)`` of every stream j < taus, i < count,
     shape (taus, count, 4).
 
     numpy's own ``SeedSequence(seed).pool`` is the entropy pool after the run
-    entropy (building it validates the seed); the spawn words j and i are
-    mixed in and the output hash is run in uint32 arithmetic over the whole
-    grid at once, with the hash constants advanced as numpy advances them."""
+    entropy (building it validates the seed).  The hash runs in uint32
+    arithmetic over the whole grid at once, its four pool words as four
+    lanes of one array: each spawn word, j then i, is hashed into all four
+    lanes in one step, and the eight output halves are hashed as one
+    (8, taus, count) array, with the hash constants advanced as numpy
+    advances them."""
     if max(taus, count) > 2**32:
         raise ValueError("a spawn index must fit in one 32-bit word")
     pool = np.random.SeedSequence(seed).pool
     run_words = max(1, -(-int(seed).bit_length() // 32))
     const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, run_words - 4), 2**32) & _MASK32
-    mixed = list(pool.reshape(4, 1, 1))
-    # each spawn word is hashed into every pool word in turn
-    for word in (np.arange(taus, dtype=np.uint32)[:, None],
-                 np.arange(count, dtype=np.uint32)[None, :]):
-        for dst in range(4):
-            value = word ^ np.uint32(const)
-            const = const * _MULT_A & _MASK32
-            value = value * np.uint32(const)
-            value ^= value >> 16
-            mixed[dst] = mixed[dst] * np.uint32(_MIX_L) - value * np.uint32(_MIX_R)
-            mixed[dst] ^= mixed[dst] >> 16
+    mixed = pool.reshape(4, 1, 1)
+    for word in (np.arange(taus, dtype=np.uint32)[:, None], np.arange(count, dtype=np.uint32)):
+        value, const = _hash_lanes(word, 4, const, _MULT_A)
+        mixed = mixed * np.uint32(_MIX_L) - value * np.uint32(_MIX_R)
+        mixed ^= mixed >> 16
     # generate_state(4, np.uint64): eight uint32 halves, the low half first
-    const = _INIT_B
-    halves = []
-    for k in range(8):
-        value = mixed[k % 4] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        value ^= value >> 16
-        halves.append(value.astype(np.uint64))
-    return np.stack([lo | hi << np.uint64(32)
-                     for lo, hi in zip(halves[0::2], halves[1::2])], axis=-1)
+    halves = _hash_lanes(np.concatenate((mixed, mixed)), 8, _INIT_B, _MULT_B)[0]
+    halves = halves.astype(np.uint64)
+    return np.ascontiguousarray(np.moveaxis(halves[0::2] | halves[1::2] << np.uint64(32), 0, -1))
 
 
 def _seed_words_type() -> type:
@@ -198,19 +202,14 @@ def _draw_streams(seed: int, taus: int, count: int, root: np.ndarray,
     redraw."""
     words = _stream_words(seed, taus, count)
     seed_words = _seed_words_type()
-
-    def stream(j, i):
-        return np.random.Generator(np.random.PCG64(seed_words(words[j, i])))
-
     first = np.empty((taus, count, 3 + noise_dim))
-    for j in range(taus):
-        for i in range(count):
-            stream(j, i).standard_normal(out=first[j, i])
+    for row, out in zip(words.reshape(-1, 4), first.reshape(-1, 3 + noise_dim)):
+        np.random.Generator(np.random.PCG64(seed_words(row))).standard_normal(out=out)
     draws = first[..., :3] @ root.T
     noise = first[..., 3:].copy()
     rejected = np.zeros(taus, dtype=int)
     for j, i in zip(*np.nonzero(~_SO3.in_domain(draws))):
-        rng = stream(j, i)
+        rng = np.random.Generator(np.random.PCG64(seed_words(words[j, i])))
         rng.standard_normal(3)                 # the rejected first candidate
         for attempt in range(1, 1000):
             draws[j, i] = root @ rng.standard_normal(3)
@@ -233,8 +232,12 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     update per sweep, with one gain and one chart covariance per tau; the
     costs read only the means that both estimators map to the group.  A
     sample whose innovation or either scoring logarithm leaves the chart
-    domain is excluded pairwise and counted.  The run fails with
-    ExclusionOverflowError if more than 0.1% of all samples are excluded.
+    domain is excluded pairwise and counted.  Each cost column is one
+    reduction over the (taus, samples) grid, every tau's row summed in the
+    order of a reduction over that tau alone; only a tau that lost samples
+    is scored again over its kept ones, and one that kept none gets NaN
+    costs.  The run fails with ExclusionOverflowError if more than 0.1% of
+    all samples are excluded.
     Each record's ``wall_time`` is an equal share of the sweep's elapsed
     time; ``rejected`` and ``excluded`` count its own tau's redrawn prior
     draws and excluded samples.
@@ -278,16 +281,20 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     excluded_per_tau = cfg.sample_count - ok.sum(axis=1)
     excluded = int(excluded_per_tau.sum())
 
-    costs = []
-    for j, keep in enumerate(ok):
-        if not keep.any():
-            costs.append((float("nan"),) * 4)        # every sample excluded
-            continue
-        plain, mod = e_plain[j, keep], e_mod[j, keep]
-        costs.append((float(np.linalg.norm(plain.mean(axis=0)) ** 2),
-                      float(np.linalg.norm(mod.mean(axis=0)) ** 2),
-                      float((plain * plain).sum(axis=-1).mean()),
-                      float((mod * mod).sum(axis=-1).mean())))
+    # c1 and c2 of both estimators, one reduction per column over all taus,
+    # each row summed as a tau's own samples are; a tau that lost samples is
+    # scored again over its kept ones, copied contiguous to keep that order.
+    # c1 keeps one norm (a BLAS dot) per row: no vectorized form matches it.
+    errors = np.stack((e_plain, e_mod))                    # (2, taus, samples, 3)
+    means, c2 = errors.mean(axis=2), (errors * errors).sum(axis=-1).mean(axis=2)
+    for j in np.flatnonzero(excluded_per_tau):
+        kept = np.ascontiguousarray(errors[:, j, ok[j]])
+        if kept.size:
+            means[:, j], c2[:, j] = kept.mean(axis=1), (kept * kept).sum(axis=-1).mean(axis=1)
+        else:                                              # every sample excluded
+            means[:, j] = c2[:, j] = np.nan
+    c1 = [[float(np.linalg.norm(v) ** 2) for v in rows] for rows in means]
+    costs = zip(*c1, *c2.tolist())
     elapsed = time.perf_counter() - start
     records = [TrialRecord(float(tau), *cost, wall_time=elapsed / len(taus),
                            rejected=int(rej), excluded=int(exc))

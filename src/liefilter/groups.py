@@ -295,6 +295,21 @@ def _rodrigues_form(xs: tuple, t2: np.ndarray, a, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _branches(small, theta, series, closed) -> tuple:
+    """``np.where(small, s, c)`` over the values s of ``series()`` and c of
+    ``closed(safe)``, safe = theta but 1 where small (where the closed forms
+    are indeterminate).  A branch is evaluated only if some element takes
+    it, and every element keeps the bits of the full selection: ``closed``
+    always gets an array, as from ``np.where``, since a scalar's ``**``
+    would run another power routine."""
+    if small.all():
+        return series()
+    if not small.any():
+        return closed(np.asarray(theta))
+    return tuple(np.where(small, s, c)
+                 for s, c in zip(series(), closed(np.where(small, 1.0, theta))))
+
+
 # c(t) = (1 - (t/2) cot(t/2)) / t^2 = sum_n (-1)^n B_(2n+2) t^2n / (2n+2)! and
 # c'(t) / t, by their Taylor series below t = 0.5, where the closed forms cancel
 _JINV_SWITCH = 0.5
@@ -303,20 +318,23 @@ _JINV_SERIES = (1 / 12, 1 / 720, 1 / 30240, 1 / 1209600, 1 / 47900160,
 _RADIAL_SERIES = tuple(2 * n * a for n, a in enumerate(_JINV_SERIES) if n)
 
 
-def _jinv_coef(t2: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """c(|x|), the coefficient of K^2 in both inverse Jacobians, written with
-    cot(|x|/2) so that it stays accurate up to pi."""
-    half = np.where(theta < _JINV_SWITCH, 1.0, theta) / 2
-    return np.where(theta < _JINV_SWITCH, np.polyval(_JINV_SERIES[::-1], t2),
-                    (1 - half * np.cos(half) / np.sin(half)) / (4 * half * half))
+def _jinv_coef(t2: np.ndarray, theta: np.ndarray, radial: bool = False) -> tuple:
+    """``(c,)``, c(|x|) the coefficient of K^2 in both inverse Jacobians,
+    written with cot(|x|/2) so that it stays accurate up to pi; with
+    ``radial`` also c'(|x|) / |x| = (1 / (4 sin^2(|x|/2)) - 1 / |x|^2 - c)
+    / |x|^2."""
+    def series():
+        c = np.polyval(_JINV_SERIES[::-1], t2)
+        return (c, np.polyval(_RADIAL_SERIES[::-1], t2)) if radial else (c,)
 
-
-def _jinv_radial(t2: np.ndarray, theta: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """c'(|x|) / |x| = (1 / (4 sin^2(|x|/2)) - 1 / |x|^2 - c) / |x|^2."""
-    safe = np.where(theta < _JINV_SWITCH, 1.0, theta)
-    s, inv2 = np.sin(safe / 2), 1 / (safe * safe)
-    return np.where(theta < _JINV_SWITCH, np.polyval(_RADIAL_SERIES[::-1], t2),
-                    (0.25 / (s * s) - inv2 - c) * inv2)
+    def closed(safe):
+        half = safe / 2
+        c = (1 - half * np.cos(half) / np.sin(half)) / (4 * half * half)
+        if not radial:
+            return (c,)
+        s, inv2 = np.sin(half), 1 / (safe * safe)
+        return c, (0.25 / (s * s) - inv2 - c) * inv2
+    return _branches(theta < _JINV_SWITCH, theta, series, closed)
 
 
 class SO3(MatrixLieGroup):
@@ -326,7 +344,8 @@ class SO3(MatrixLieGroup):
     Jacobians are used throughout, with fourth-order Taylor branches below
     ``|x| = 1e-4`` to avoid indeterminate ratios, and series to |x|^14 below
     0.5 for the inverse-Jacobian coefficients, whose closed forms cancel
-    there.  Each entry is computed straight from x (or g) in the operation
+    there.  A branch is evaluated only if some element of the batch takes
+    it.  Each entry is computed straight from x (or g) in the operation
     order of the ``wedge``/K^2 matrix form, so results are that form's bit
     for bit: near-pi exclusions and the archived sweeps depend on the last bit.
     """
@@ -354,11 +373,10 @@ class SO3(MatrixLieGroup):
 
     def exp(self, x: np.ndarray) -> np.ndarray:
         xs, t2, theta = _polar(x)
-        small = theta < _SMALL_ANGLE
-        safe = np.where(small, 1.0, theta)
-        a = np.where(small, 1 - theta**2 / 6 + theta**4 / 120, np.sin(safe) / safe)
-        b = np.where(small, 0.5 - theta**2 / 24 + theta**4 / 720,
-                     (1 - np.cos(safe)) / safe**2)
+        a, b = _branches(theta < _SMALL_ANGLE, theta,
+                         lambda: (1 - theta**2 / 6 + theta**4 / 120,
+                                  0.5 - theta**2 / 24 + theta**4 / 720),
+                         lambda s: (np.sin(s) / s, (1 - np.cos(s)) / s**2))
         return _rodrigues_form(xs, t2, a, b)
 
     def log(self, g: np.ndarray) -> np.ndarray:
@@ -374,14 +392,14 @@ class SO3(MatrixLieGroup):
         trace = g[..., 0, 0] + g[..., 1, 1] + g[..., 2, 2]
         theta = np.arccos(np.clip((trace - 1) / 2, -1.0, 1.0))
         ok = ~(theta > _LOG_SINGULARITY)
-        small = theta < _SMALL_ANGLE
-        safe = np.where(small, 1.0, theta)
-        coef = np.where(small, 0.5 * (1 + theta**2 / 6 + 7 * theta**4 / 360),
-                        safe / (2 * np.sin(safe)))
+        coef, = _branches(theta < _SMALL_ANGLE, theta,
+                          lambda: (0.5 * (1 + theta**2 / 6 + 7 * theta**4 / 360),),
+                          lambda s: (s / (2 * np.sin(s)),))
         x = np.empty(g.shape[:-1])
         for k, i, j in _CYCLIC:                                   # vee(g - g^T)
             np.multiply(coef, g[..., j, i] - g[..., i, j], out=x[..., k])
-        x[~ok] = np.nan
+        if not ok.all():
+            x[~ok] = np.nan
         return x, ok
 
     ad = wedge
@@ -391,17 +409,15 @@ class SO3(MatrixLieGroup):
 
     def left_jacobian(self, x: np.ndarray) -> np.ndarray:
         xs, t2, theta = _polar(x)
-        small = theta < _SMALL_ANGLE
-        safe = np.where(small, 1.0, theta)
-        a = np.where(small, 0.5 - theta**2 / 24 + theta**4 / 720,
-                     2 * np.sin(safe / 2) ** 2 / safe**2)
-        b = np.where(small, 1 / 6 - theta**2 / 120 + theta**4 / 5040,
-                     (safe - np.sin(safe)) / safe**3)
+        a, b = _branches(theta < _SMALL_ANGLE, theta,
+                         lambda: (0.5 - theta**2 / 24 + theta**4 / 720,
+                                  1 / 6 - theta**2 / 120 + theta**4 / 5040),
+                         lambda s: (2 * np.square(np.sin(s / 2)) / s**2, (s - np.sin(s)) / s**3))
         return _rodrigues_form(xs, t2, a, b)
 
     def left_jacobian_inv(self, x: np.ndarray) -> np.ndarray:
         xs, t2, theta = _polar(x)
-        return _rodrigues_form(xs, t2, -0.5, _jinv_coef(t2, theta))
+        return _rodrigues_form(xs, t2, -0.5, *_jinv_coef(t2, theta))
 
     def left_jacobian_inv_partials(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(J_l^-1, dJ_l^-1)`` sharing c.  dJ_l^-1/dx_k = (c'/|x|) x_k K^2
@@ -409,8 +425,7 @@ class SO3(MatrixLieGroup):
         x e_k^T + e_k x^T - 2 x_k I, with the +0 that the matrix products of
         that form leave where it vanishes."""
         xs, t2, theta = _polar(x)
-        c = _jinv_coef(t2, theta)
-        radial = _jinv_radial(t2, theta, c)
+        c, radial = _jinv_coef(t2, theta, radial=True)
         diag = [xi * xi - t2 for xi in xs]                    # K^2 = x x^T - t2 I
         off = [xs[1] * xs[2], xs[2] * xs[0], xs[0] * xs[1]]   # by the missing index
         cx, cz = [c * (xi + 0.0) for xi in xs], c * 0.0

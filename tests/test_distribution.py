@@ -76,6 +76,22 @@ def test_sqrt_psd_rejects_indefinite():
         sqrt_psd(np.array([[1.0, 0.0], [0.0, -0.5]]))
 
 
+def test_sqrt_psd_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal((2, 3, 5, 4))
+    mats = w @ np.swapaxes(w, -1, -2)                   # PSD, rank 4 of 5
+    mats[1, 2] += 1e3 * np.eye(5)
+    stacked = sqrt_psd(mats)
+    for idx in np.ndindex(2, 3):
+        assert_bitwise(stacked[idx], sqrt_psd(mats[idx]))
+    assert np.abs(stacked @ stacked - mats).max() < 1e-9
+    # each member is checked against its own scale: -1e-2 is far below
+    # -1e-8 of the second one, though not of the first member's 1e9
+    bad = np.stack([1e9 * np.eye(2), np.diag([1.0, -1e-2])])
+    with pytest.raises(CholeskyFailureError):
+        sqrt_psd(bad)
+
+
 def test_expect_unknown_method():
     with pytest.raises(ValueError):
         expect(lambda x: x, np.zeros(2), np.eye(2), ExpectationConfig(method="sobol"))

@@ -6,7 +6,11 @@ import pytest
 from liefilter import experiments
 from liefilter.cli import main
 from liefilter.distribution import sqrt_psd
-from liefilter.errors import NonConcentratedWarning, RejectionOverflowError
+from liefilter.errors import (
+    ExclusionOverflowError,
+    NonConcentratedWarning,
+    RejectionOverflowError,
+)
 from liefilter.experiments import (
     EUCLIDEAN_NOISE_SHAPE,
     GROUP_NOISE_SHAPE,
@@ -300,6 +304,54 @@ def test_group_sweep_matches_per_tau_public_fusion(so3):
                 float((e_plain * e_plain).sum(axis=-1).mean()),
                 float((e_mod * e_mod).sum(axis=-1).mean()))
         assert (rec.c1_plain, rec.c1_modified, rec.c2_plain, rec.c2_modified) == want
+
+
+def test_sweep_rescores_taus_that_lost_samples_bit_for_bit(so3, monkeypatch):
+    """The posterior means of sample 0 at tau 0 and of every sample at tau 2
+    are flipped to minus their truths, whose relative trace -3 clips to angle
+    pi on every row (a half turn reads pi - 1e-8 on some rows, from the
+    rounding of R^T R).  Tau 0 is scored over samples 1-49, bit for bit as
+    public fusion scores them; tau 2 keeps no sample and gets NaN costs; tau
+    1 keeps the row of the sweep without failures."""
+    seed, count = 17, 50
+    taus = default_tau_grid(1e-2, 1.0, 3)
+    cfg = ExperimentConfig(model="group", sample_count=count, tau_grid=taus, seed=seed)
+    with pytest.warns(NonConcentratedWarning):
+        clean = run_sweep(cfg)
+        prior = build_prior()
+    root = sqrt_psd(prior.cov)
+    streams = [_per_sample_streams(so3, seed, j, count, root, 3) for j in range(len(taus))]
+    truths = np.stack([prior.mean @ so3.exp(draws) for draws, _, _ in streams])
+    noise = streams[0][1] * np.sqrt(taus[0] * np.diag(GROUP_NOISE_SHAPE))
+    g_z = truths[0] @ so3.exp(noise)
+    obs = ObservationModelGroup(so3, taus[0] * GROUP_NOISE_SHAPE)
+    e_plain, e_mod = [
+        so3.log(np.swapaxes(truths[0], -1, -2) @ fuse_group(so3, prior, obs, g_z,
+                                                                modified=flag).mean)[1:]
+        for flag in (False, True)]
+    want = (float(np.linalg.norm(e_plain.mean(axis=0)) ** 2),
+            float(np.linalg.norm(e_mod.mean(axis=0)) ** 2),
+            float((e_plain * e_plain).sum(axis=-1).mean()),
+            float((e_mod * e_mod).sum(axis=-1).mean()))
+    posterior_mean = experiments._posterior_mean
+
+    def flipped(group, mu, m, cov, modified):
+        mean = posterior_mean(group, mu, m, cov, modified)
+        mean[0, 0], mean[2] = -truths[0, 0], -truths[2]
+        return mean
+
+    monkeypatch.setattr(experiments, "_posterior_mean", flipped)
+    with pytest.warns(NonConcentratedWarning), pytest.raises(ExclusionOverflowError) as err:
+        run_sweep(cfg)
+    records = err.value.records
+
+    def row(rec):
+        return rec.c1_plain, rec.c1_modified, rec.c2_plain, rec.c2_modified
+
+    assert [rec.excluded for rec in records] == [1, 0, count]
+    assert row(records[0]) == want
+    assert (row(records[1]), records[1].rejected) == (row(clean[1]), clean[1].rejected)
+    assert np.isnan(row(records[2])).all()
 
 
 def test_euclidean_sweep_linearizes_once(monkeypatch):

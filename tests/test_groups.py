@@ -499,6 +499,39 @@ def test_chart_boundary_decisions(so3):
         assert np.array_equal(xi, x[i], equal_nan=True)
 
 
+_SWITCH_NORMS = (0.0, 1e-12, 9.9e-5, 1.01e-4, 0.49, 0.51, np.pi - 1e-3)
+
+
+def test_so3_kernels_raise_no_fp_error_at_their_switches(so3):
+    """Each branch runs on the elements that take it, alone and in a batch
+    with the other branches, and none divides by zero or overflows: rows on
+    both sides of the 1e-4 and 0.5 switches, at 0 and near pi."""
+    rng = np.random.default_rng(41)
+    v = rng.standard_normal((len(_SWITCH_NORMS), 3))
+    xs = v / np.linalg.norm(v, axis=1, keepdims=True) * np.array(_SWITCH_NORMS)[:, None]
+    with np.errstate(all="raise"):
+        g = so3.exp(xs)
+        calls = [(name, _kernel(so3, name), xs) for name in _KERNELS]
+        calls.append(("log_masked", lambda h: so3.log_masked(h)[0], g))
+        for name, fn, rows in calls:
+            batch = fn(rows)
+            for idx, row in enumerate(rows):
+                assert_bitwise(_row(batch, name, (idx,)), fn(row))
+        assert so3.log_masked(g)[1].all()
+
+
+def test_so3_one_vector_equals_its_row_of_a_batch(so3):
+    """A single vector's kernels run on numpy scalars, a batch's on arrays,
+    whose powers differ in the last bit on about 0.1% of squares: every
+    kernel must square by multiplication, so that no row's bits depend on
+    whether it came alone."""
+    xs = random_ball(np.random.default_rng(43), np.pi - 1e-3, 4000)
+    for name in ("exp", "left_jacobian", "left_jacobian_inv"):
+        fn = getattr(so3, name)
+        batch = fn(xs)
+        assert all(np.array_equal(fn(x), row) for x, row in zip(xs, batch)), name
+
+
 # -- ad operator ---------------------------------------------------------------
 
 def test_ad_zero(so3, diag3):
