@@ -64,25 +64,16 @@ def sqrt_psd(cov: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-def cubature_points(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """The 2N spherical-cubature nodes of N(mean, cov), uniform weights."""
-    mean = np.asarray(mean, float)
-    n = mean.shape[-1]
-    root = sqrt_psd(cov)
-    offsets = np.sqrt(n) * root.T
-    return np.concatenate([mean + offsets, mean - offsets], axis=0)
-
-
 def expectation_nodes(mean: np.ndarray, cov: np.ndarray,
                       cfg: ExpectationConfig | None = None) -> np.ndarray:
-    """Equal-weight evaluation nodes of N(mean, cov) for the configured method."""
+    """Equal-weight nodes of N(mean, cov): 2N spherical-cubature nodes or Monte Carlo draws."""
     cfg = cfg or ExpectationConfig()
     mean = np.asarray(mean, float)
     if cfg.method == "cubature":
-        return cubature_points(mean, cov)
+        offsets = np.sqrt(mean.shape[-1]) * sqrt_psd(cov).T
+        return np.concatenate([mean + offsets, mean - offsets], axis=0)
     if cfg.method == "monte-carlo":
-        rng = np.random.default_rng(cfg.seed)
-        z = rng.standard_normal((cfg.sample_count, mean.shape[-1]))
+        z = np.random.default_rng(cfg.seed).standard_normal((cfg.sample_count, mean.shape[-1]))
         return mean + z @ sqrt_psd(cov).T
     raise ValueError(f"unknown expectation method {cfg.method!r}")
 

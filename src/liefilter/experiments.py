@@ -56,11 +56,14 @@ def default_tau_grid(tau_min: float = 1e-3, tau_max: float = 1.0,
     return np.geomspace(tau_min, tau_max, points)
 
 
+_DEFAULT_TAUS = default_tau_grid()    # built once: geomspace is most of a config's cost
+
+
 @dataclass
 class ExperimentConfig:
     model: str = "group"                       # "euclidean" | "group"
     sample_count: int = 10_000
-    tau_grid: np.ndarray = field(default_factory=default_tau_grid)
+    tau_grid: np.ndarray = field(default_factory=_DEFAULT_TAUS.copy)
     seed: int = 42
 
     def __post_init__(self):
@@ -71,6 +74,8 @@ class ExperimentConfig:
         if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError("seed must be an integer >= 0")
         taus = np.asarray(self.tau_grid, float)
+        if taus.ndim != 1:
+            raise ValueError("tau_grid must be one-dimensional")
         if taus.size == 0:
             raise ValueError("tau_grid must hold at least one value")
         if not np.all(taus > 0) or not np.all(np.isfinite(taus)):
@@ -111,17 +116,17 @@ def measure_euclidean(rotation: np.ndarray) -> np.ndarray:
 
 
 def observe_euclidean(rotation: np.ndarray, tau: float, seed) -> np.ndarray:
-    """Gravity/magnetometer observation with N(0, tau * shape) noise."""
+    """Gravity/magnetometer observations (..., 6) with N(0, tau * shape) noise."""
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(6) * np.sqrt(tau * np.diag(EUCLIDEAN_NOISE_SHAPE))
-    return measure_euclidean(rotation) + noise
+    noise = rng.standard_normal(np.shape(rotation)[:-2] + (6,))
+    return measure_euclidean(rotation) + noise * np.sqrt(tau * np.diag(EUCLIDEAN_NOISE_SHAPE))
 
 
 def observe_group(rotation: np.ndarray, tau: float, seed) -> np.ndarray:
-    """Full-state observation R exp(r) with r ~ N(0, tau * shape)."""
+    """Full-state observations R exp(r) (..., 3, 3) with r ~ N(0, tau * shape)."""
     rng = np.random.default_rng(seed)
-    r = rng.standard_normal(3) * np.sqrt(tau * np.diag(GROUP_NOISE_SHAPE))
-    return np.asarray(rotation, float) @ _SO3.exp(r)
+    r = rng.standard_normal(np.shape(rotation)[:-2] + (3,))
+    return np.asarray(rotation, float) @ _SO3.exp(r * np.sqrt(tau * np.diag(GROUP_NOISE_SHAPE)))
 
 
 # O'Neill's seed_seq_fe hash constants, as numpy's SeedSequence uses them.

@@ -27,6 +27,9 @@ from .sde import STRATONOVICH, SdeModel, _chart_coefficients, stratonovich_to_it
 
 _PSD_SLACK = 1e-8
 
+# (c, w) per stage after stage 1: a step c dt along the last chart velocity, weight w.
+_STAGES = {"rk4": ((0.5, 2), (0.5, 2), (1.0, 1)), "euler": ()}
+
 
 @dataclass
 class PropagationState:
@@ -44,7 +47,7 @@ class PropagationConfig:
     def __post_init__(self):
         if not self.dt > 0 or not np.isfinite(self.dt):
             raise ValueError("dt must be positive and finite")
-        if self.integrator not in ("rk4", "euler"):
+        if self.integrator not in _STAGES:
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
@@ -76,12 +79,13 @@ def propagate(group: MatrixLieGroup, state0: PropagationState, model: SdeModel,
     """Integrate mean and covariance jointly over ``total_time``.
 
     Each step is integrated in the exponential chart anchored at the current
-    mean: stage body velocities are mapped to chart velocities through the
-    inverse right Jacobian, classical RK4 runs on the exact chart ODE, and
-    the resulting chart increment is composed through exp, so iterates stay
-    exactly on the group.  The covariance is advanced in matrix space and
-    re-projected to PSD after each step.  Raises StepRejectedError if a step
-    drives the covariance indefinite beyond the 1e-8 slack before clamping.
+    mean: one loop runs the stages of classical RK4 (or Euler) on the exact
+    chart ODE, stage body velocities are mapped to chart velocities through
+    the inverse right Jacobian, and the weighted chart increment is composed
+    through exp, so iterates stay exactly on the group.  The covariance is
+    advanced in matrix space and re-projected to PSD after each step.  Raises
+    StepRejectedError if a step drives the covariance indefinite beyond the
+    1e-8 slack before clamping.
     """
     if not total_time > 0 or not np.isfinite(total_time):
         raise ValueError("total_time must be positive and finite")
@@ -93,28 +97,18 @@ def propagate(group: MatrixLieGroup, state0: PropagationState, model: SdeModel,
     t = state0.t
     traj = [PropagationState(mu.copy(), cov.copy(), t)]
 
-    def velocities(mean, cov, t):
-        return moment_velocities(group, PropagationState(mean, cov, t), model, cfg)
-
-    def chart_vel(q, body_v):
-        return np.linalg.solve(group.right_jacobian(q), body_v)
-
+    stages = _STAGES[cfg.integrator]
+    weight = 1 + sum(w for _, w in stages)
     for _ in range(steps):
-        v1, s1 = velocities(mu, cov, t)
-        if cfg.integrator == "euler":
-            dmu, dcov = v1 * dt, s1 * dt
-        else:
-            q2 = v1 * dt / 2
-            v2, s2 = velocities(mu @ group.exp(q2), cov + s1 * dt / 2, t + dt / 2)
-            l2 = chart_vel(q2, v2)
-            q3 = l2 * dt / 2
-            v3, s3 = velocities(mu @ group.exp(q3), cov + s2 * dt / 2, t + dt / 2)
-            l3 = chart_vel(q3, v3)
-            q4 = l3 * dt
-            v4, s4 = velocities(mu @ group.exp(q4), cov + s3 * dt, t + dt)
-            l4 = chart_vel(q4, v4)
-            dmu = (v1 + 2 * l2 + 2 * l3 + l4) * dt / 6
-            dcov = (s1 + 2 * s2 + 2 * s3 + s4) * dt / 6
+        v, s = moment_velocities(group, PropagationState(mu, cov, t), model, cfg)
+        dmu, dcov, vel = v, s, v        # stage 1: J_r(0) = I, so its chart velocity is v
+        for c, w in stages:
+            q = vel * dt * c
+            stage = PropagationState(mu @ group.exp(q), cov + s * dt * c, t + dt * c)
+            v, s = moment_velocities(group, stage, model, cfg)
+            vel = np.linalg.solve(group.right_jacobian(q), v)
+            dmu, dcov = dmu + w * vel, dcov + w * s
+        dmu, dcov = dmu * dt / weight, dcov * dt / weight
         mu = mu @ group.exp(dmu)
         cov = symmetrize(cov + dcov)
         eigmin = float(np.linalg.eigvalsh(cov).min())

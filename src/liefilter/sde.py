@@ -8,8 +8,9 @@ Two equivalent formulations are supported:
   fixed base point.
 
 The chart form is given in coordinates, dx = a dt + B dW, and sampled as a
-Euclidean SDE; only the transforms from the injection form apply J_r^-1.
-Transforms between the Ito and Stratonovich readings are provided.
+Euclidean SDE; only the transform from the injection form, one for both the
+Ito and the Stratonovich reading, applies J_r^-1.  Transforms between the
+two readings are provided.
 Coefficient callables receive ``(state, t)`` where ``state`` may carry leading
 batch axes; they must broadcast accordingly (constant coefficients trivially do).
 
@@ -157,8 +158,7 @@ def sample_parametric_path(group: MatrixLieGroup, model: ParametricSdeModel,
             x_mid = x + a * dt / 2 + _mv(big, halves[:, 0])
             big = np.asarray(model.coefficients(x_mid, t + dt / 2)[1], float)
         x = x + a * dt + _mv(big, dw)
-        inside = group.in_domain(x)
-        if not np.all(inside):
+        if not np.all(group.in_domain(x)):
             raise DomainExitError(
                 f"path left the chart domain at step {i + 1}", step=i + 1)
         if store_path:
@@ -179,16 +179,19 @@ def _ito_curvature(jri: np.ndarray, parts: np.ndarray, hht: np.ndarray) -> np.nd
 
 def _chart_coefficients(group: MatrixLieGroup, model: SdeModel, mu: np.ndarray,
                         x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Chart coefficients ``(a, B, J_r^-1)`` of an Ito injection SDE at the
-    chart points x around mu, from one exp, one drift and one diffusion call
-    on g = mu exp(x) and one (J_r^-1, dJ_r^-1) pair:
-    a = J_r^-1 h + (1/2) (d J_r^-1/dx_k) H H^T J_r^-T e_k, summed over k, and
-    B = J_r^-1 H."""
+    """Chart coefficients ``(a, B, J_r^-1)`` of an injection SDE at the chart
+    points x around mu, from one exp, one drift and one diffusion call on
+    g = mu exp(x): B = J_r^-1 H, and a = J_r^-1 h for a Stratonovich model
+    (J_r^-1 alone); an Ito model adds, from one (J_r^-1, dJ_r^-1) pair,
+    (1/2) (d J_r^-1/dx_k) H H^T J_r^-T e_k, summed over k."""
     x = np.asarray(x, float)
     g = mu @ group.exp(x)
     h = np.asarray(model.drift(g, t), float)
     big = np.asarray(model.diffusion(g, t), float)
     del g                      # freed before the partials: lower peak memory
+    if model.interpretation == STRATONOVICH:
+        jri = group.right_jacobian_inv(x)
+        return _mv(jri, h), jri @ big, jri
     jri, parts = group.right_jacobian_inv_partials(x)
     corr = _ito_curvature(jri, parts, big @ np.swapaxes(big, -1, -2))
     return _mv(jri, h) + corr, jri @ big, jri
@@ -210,7 +213,7 @@ def stratonovich_to_ito(group: MatrixLieGroup, model: SdeModel) -> SdeModel:
     """Equivalent Ito drift for a Stratonovich injection SDE.
 
     h = h_s + (1/2) E_i^r(H_s[k, j]) H_s[i, j] e_k with the right derivatives
-    taken by central differences (step 1e-5) along the one-parameter subgroups.
+    taken by central differences (step 1e-5), all N in one stencil call.
     """
     if model.interpretation != STRATONOVICH:
         raise ValueError("stratonovich_to_ito requires a Stratonovich model")
@@ -219,11 +222,10 @@ def stratonovich_to_ito(group: MatrixLieGroup, model: SdeModel) -> SdeModel:
         g = np.asarray(g, float)
         hs = np.asarray(model.drift(g, t), float)
         big = np.asarray(model.diffusion(g, t), float)
-        corr = 0.0
-        for i in range(group.dim):
-            deriv = lie_derivative_right(group, lambda h: model.diffusion(h, t), g, i)
-            corr = corr + 0.5 * np.einsum("...kj,...j->...k", deriv, big[..., i, :])
-        return hs + corr
+        derivs = np.broadcast_to(       # derivs[i] = E_i^r H; (N, N) for a constant H
+            lie_derivative_right(group, lambda h: model.diffusion(h, t), g, np.arange(group.dim)),
+            (group.dim,) + big.shape)
+        return hs + 0.5 * np.einsum("i...kj,...ij->...k", derivs, big)
 
     return SdeModel(drift, model.diffusion, ITO)
 
@@ -231,20 +233,13 @@ def stratonovich_to_ito(group: MatrixLieGroup, model: SdeModel) -> SdeModel:
 def stratonovich_injection_to_parametric(group: MatrixLieGroup, model: SdeModel,
                                          mu: np.ndarray) -> ParametricSdeModel:
     """Chart-form coefficients for a Stratonovich injection SDE around mu:
-    a = J_r^-1 h and B = J_r^-1 H, from one exp and one J_r^-1 per call."""
+    a = J_r^-1 h and B = J_r^-1 H, from :func:`_chart_coefficients`."""
     if model.interpretation != STRATONOVICH:
         raise ValueError("stratonovich_injection_to_parametric requires a "
                          "Stratonovich model")
     mu = np.asarray(mu, float)
-
-    def coefficients(x, t):
-        x = np.asarray(x, float)
-        g = mu @ group.exp(x)
-        jri = group.right_jacobian_inv(x)
-        return (_mv(jri, np.asarray(model.drift(g, t), float)),
-                jri @ np.asarray(model.diffusion(g, t), float))
-
-    return ParametricSdeModel(mu, coefficients, STRATONOVICH)
+    return ParametricSdeModel(
+        mu, lambda x, t: _chart_coefficients(group, model, mu, x, t)[:2], STRATONOVICH)
 
 
 def parametric_stratonovich_to_ito(group: MatrixLieGroup,

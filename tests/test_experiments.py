@@ -32,6 +32,8 @@ from liefilter.fusion import (
     fuse_group,
 )
 
+from conftest import assert_bitwise
+
 
 # -- prior ------------------------------------------------------------------------
 
@@ -66,7 +68,7 @@ def test_observe_euclidean_noise_covariance(so3):
     tau = 0.05
     R = so3.exp(np.array([0.1, 0.7, -0.3]))
     rng = np.random.default_rng(1)
-    draws = np.stack([observe_euclidean(R, tau, rng) for _ in range(100_000)])
+    draws = observe_euclidean(np.broadcast_to(R, (100_000, 3, 3)), tau, rng)
     emp = np.cov((draws - measure_euclidean(R)).T)
     target = tau * np.diag([0.3, 0.3, 0.3, 0.1, 0.1, 0.1])
     assert np.abs(np.diag(emp) - np.diag(target)).max() / (tau * 0.1) < 0.03 * 3
@@ -83,7 +85,7 @@ def test_observe_group_noise_covariance(so3):
     tau = 0.01
     R = so3.exp(np.array([-0.2, 0.5, 0.1]))
     rng = np.random.default_rng(4)
-    draws = np.stack([observe_group(R, tau, rng) for _ in range(100_000)])
+    draws = observe_group(np.broadcast_to(R, (100_000, 3, 3)), tau, rng)
     logs = so3.log(R.T @ draws)
     emp = np.einsum("ki,kj->ij", logs, logs) / len(logs)
     assert np.abs(np.diag(emp) - 0.3 * tau).max() / (0.3 * tau) < 0.03
@@ -109,6 +111,19 @@ def test_single_sample_perfect_observation_costs_vanish():
 def test_experiment_config_rejects_bad_tau(bad):
     with pytest.raises(ValueError, match="all tau values must be positive"):
         ExperimentConfig(tau_grid=np.array([1e-3, bad]))
+
+
+@pytest.mark.parametrize("grid", [[[0.1, 0.2]], np.ones((2, 3)), 0.1])
+def test_experiment_config_rejects_a_tau_grid_that_is_not_1d(grid):
+    with pytest.raises(ValueError, match="tau_grid must be one-dimensional"):
+        ExperimentConfig(tau_grid=grid)
+
+
+def test_default_tau_grid_is_a_fresh_copy_per_config():
+    first = ExperimentConfig()
+    assert_bitwise(first.tau_grid, np.geomspace(1e-3, 1.0, 13))
+    first.tau_grid[0] = 7.0
+    assert_bitwise(ExperimentConfig().tau_grid, np.geomspace(1e-3, 1.0, 13))
 
 
 def test_experiment_config_rejects_an_empty_tau_grid():

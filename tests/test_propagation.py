@@ -3,10 +3,12 @@ import pytest
 
 from liefilter.distribution import (
     ConcentratedGaussian,
-    cubature_points,
     empirical_covariance,
     empirical_group_mean,
+    expectation_nodes,
+    project_psd,
     sample,
+    symmetrize,
 )
 from liefilter.errors import StepRejectedError
 from liefilter.groups import MatrixLieGroup
@@ -18,6 +20,7 @@ from liefilter.propagation import (
     propagate,
 )
 from liefilter.sde import (
+    ITO,
     STRATONOVICH,
     PathConfig,
     SdeModel,
@@ -25,6 +28,7 @@ from liefilter.sde import (
     stratonovich_to_ito,
 )
 
+from conftest import assert_bitwise
 from test_sde import const, rk4_flow
 
 
@@ -100,7 +104,7 @@ def test_moment_velocities_match_per_node_transcription(request, case):
     state = PropagationState(group.exp(0.3 * rng.standard_normal(dim)),
                              root @ root.T + 0.01 * np.eye(dim), 0.4)
     hht = big_h @ big_h.T
-    nodes = cubature_points(np.zeros(dim), state.cov)
+    nodes = expectation_nodes(np.zeros(dim), state.cov)
     jlis, fs, spreads = [], [], []
     for x in nodes:
         jri = group.right_jacobian_inv(x)
@@ -233,6 +237,71 @@ def test_state_dependent_stratonovich_matches_sampler(so3):
                           PropagationConfig(dt=1e-2))[-1]
     assert np.abs(converted.mean - pred.mean).max() <= 1e-12
     assert np.abs(converted.cov - pred.cov).max() <= 1e-12
+
+
+def four_stage_propagate(group, state, model, total_time, cfg):
+    """Classical RK4 (or Euler) in the chart at the mean, stage by stage."""
+    def velocities(mean, cov, t):
+        return moment_velocities(group, PropagationState(mean, cov, t), model, cfg)
+
+    def chart_vel(q, body_v):
+        return np.linalg.solve(group.right_jacobian(q), body_v)
+
+    steps = max(1, round(total_time / cfg.dt))
+    dt = total_time / steps
+    mu, cov, t = state.mean.copy(), symmetrize(state.cov), state.t
+    traj = [PropagationState(mu.copy(), cov.copy(), t)]
+    for _ in range(steps):
+        v1, s1 = velocities(mu, cov, t)
+        if cfg.integrator == "euler":
+            dmu, dcov = v1 * dt, s1 * dt
+        else:
+            q2 = v1 * dt / 2
+            v2, s2 = velocities(mu @ group.exp(q2), cov + s1 * dt / 2, t + dt / 2)
+            l2 = chart_vel(q2, v2)
+            q3 = l2 * dt / 2
+            v3, s3 = velocities(mu @ group.exp(q3), cov + s2 * dt / 2, t + dt / 2)
+            l3 = chart_vel(q3, v3)
+            q4 = l3 * dt
+            v4, s4 = velocities(mu @ group.exp(q4), cov + s3 * dt, t + dt)
+            l4 = chart_vel(q4, v4)
+            dmu = (v1 + 2 * l2 + 2 * l3 + l4) * dt / 6
+            dcov = (s1 + 2 * s2 + 2 * s3 + s4) * dt / 6
+        mu = mu @ group.exp(dmu)
+        cov = symmetrize(cov + dcov)
+        if np.linalg.eigvalsh(cov).min() < 0:
+            cov = project_psd(cov)
+        t += dt
+        traj.append(PropagationState(mu.copy(), cov.copy(), t))
+    return traj
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+@pytest.mark.parametrize("case, interpretation", [
+    ("so3", ITO), ("so3", STRATONOVICH), ("se3", ITO)])
+def test_propagate_matches_four_stage_transcription_bitwise(request, case, interpretation,
+                                                            integrator):
+    # The stage loop keeps the stage order and the scalings of the written-out
+    # scheme, so every iterate matches it bit for bit.
+    group = request.getfixturevalue(case)
+    dim = group.dim
+    rng = np.random.default_rng(71)
+    if case == "so3":
+        model = SdeModel(nonlinear_so3_drift, rotating_diffusion, interpretation)
+    else:
+        mix = 0.1 * rng.standard_normal((dim, dim))
+        model = SdeModel(se3_drift, lambda g, t: 0.1 * np.eye(dim) + g[..., :1, 3:] * mix)
+    root = 0.1 * rng.standard_normal((dim, dim))
+    state = PropagationState(group.exp(0.3 * rng.standard_normal(dim)),
+                             root @ root.T + 0.01 * np.eye(dim), 0.2)
+    cfg = PropagationConfig(dt=0.01, integrator=integrator)
+    got = propagate(group, state, model, 0.03, cfg)
+    want = four_stage_propagate(group, state, model, 0.03, cfg)
+    assert len(got) == len(want) == 4
+    for a, b in zip(got, want):
+        assert_bitwise(a.mean, b.mean)
+        assert_bitwise(a.cov, b.cov)
+        assert a.t == b.t
 
 
 def test_abelian_matches_closed_form_linear_gaussian(diag3):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liefilter.distribution import cubature_points
+from liefilter.distribution import expectation_nodes
 from liefilter.errors import DomainExitError
 from liefilter.sde import (
     ITO,
@@ -19,7 +19,7 @@ from liefilter.sde import (
     _mv,
     wiener_halves,
 )
-from liefilter.groups import SO3
+from liefilter.groups import SO3, lie_derivative_right
 
 from conftest import assert_bitwise
 
@@ -288,7 +288,7 @@ def test_ito_curvature_matches_single_contraction_bitwise(so3, se3):
     rows = rng.standard_normal((1_000, 3)) * 0.9
     rows[0] = 0.0
     root6 = rng.standard_normal((6, 6)) * 0.3
-    nodes = cubature_points(np.zeros(6), root6 @ root6.T)
+    nodes = expectation_nodes(np.zeros(6), root6 @ root6.T)
     for group, x in ((so3, rows), (se3, nodes)):
         big = rng.standard_normal((group.dim, group.dim)) * 0.2
         pair = group.right_jacobian_inv_partials(x)
@@ -335,6 +335,46 @@ def test_stratonovich_to_ito_recovers_scalar_formula(diag1):
     for xv in (0.3, -0.8, 1.7):
         g = diag1.exp(np.array([xv]))
         assert abs(ito.drift(g, 0.0)[0] - 0.5 * xv) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["so3", "se3"])
+def test_stratonovich_to_ito_makes_one_stencil_call(request, case):
+    # The N right derivatives of H come from one stencil call on a leading
+    # axis of shifted states, so the diffusion sees 1 + 2 calls per drift
+    # evaluation (1 + 2N with a call per direction), and the drift equals
+    # the per-direction loop below bit for bit.  Both sums' bits follow the
+    # memory layout of H, so this H comes in C order, as arithmetic gives it.
+    group = request.getfixturevalue(case)
+    dim, n = group.dim, group.mat_size
+    rng = np.random.default_rng(67)
+    calls = []
+
+    def diffusion(g, t):     # entries of g, tiled to (..., N, N) in C order
+        calls.append(np.shape(g))
+        flat = np.reshape(g, np.shape(g)[:-2] + (n * n,))
+        e = np.concatenate([flat] * dim, -1)[..., :dim * dim].reshape(
+            flat.shape[:-1] + (dim, dim))
+        return 0.2 * np.eye(dim) + 0.1 * e * (1 + e)
+
+    def per_direction(model, g, t):
+        big = model.diffusion(g, t)
+        corr = 0.0
+        for i in range(dim):
+            deriv = lie_derivative_right(group, lambda h: model.diffusion(h, t), g, i)
+            corr = corr + 0.5 * np.einsum("...kj,...j->...k", deriv, big[..., i, :])
+        return model.drift(g, t) + corr
+
+    h = const(np.linspace(-0.3, 0.3, dim))
+    for big_h in (diffusion, const(0.3 * np.eye(dim))):
+        model = SdeModel(h, big_h, STRATONOVICH)
+        ito = stratonovich_to_ito(group, model)
+        for g in (group.exp(0.4 * rng.standard_normal(dim)),
+                  group.exp(0.4 * rng.standard_normal((5, dim)))):
+            calls.clear()
+            got = ito.drift(g, 0.2)
+            assert calls == ([g.shape, (dim,) + g.shape, (dim,) + g.shape]
+                             if big_h is diffusion else [])
+            assert_bitwise(got, per_direction(model, g, 0.2))
 
 
 def test_stratonovich_injection_transfer_is_jr_inv_h_and_jr_inv_big_h(so3):
