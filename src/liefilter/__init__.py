@@ -6,7 +6,6 @@ from .distribution import (
     MeanResult,
     empirical_covariance,
     empirical_group_mean,
-    expect,
     fit_mean_covariance,
     frechet_mean,
     sample,

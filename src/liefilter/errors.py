@@ -32,7 +32,7 @@ class CholeskyFailureError(LieFilterError):
 
 
 class RejectionOverflowError(LieFilterError):
-    """Too many sampling draws fell outside the chart domain (> 1%)."""
+    """Too many sampling draws fell outside the chart domain (> 1% and > 10)."""
 
 
 class NoConvergenceError(LieFilterError):

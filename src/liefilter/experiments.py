@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distribution import ConcentratedGaussian, sqrt_psd, symmetrize
+from .distribution import ConcentratedGaussian, _check_rejections, sqrt_psd, symmetrize
 from .errors import (
     ExclusionOverflowError,
     NonConcentratedWarning,
@@ -33,7 +33,7 @@ from .errors import (
 )
 # fuse_group stays importable here: bench/test_gates.py checks that the tracer
 # wraps a name imported into two modules through it.
-from .fusion import _kalman_step, _linearize, _posterior_mean, fuse_group  # noqa: F401
+from .fusion import _costs, _kalman_step, _linearize, _posterior_mean, fuse_group  # noqa: F401
 from .groups import SO3
 
 log = logging.getLogger(__name__)
@@ -235,13 +235,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     tau are drawn from their own streams and then fused as one stacked batch
     of shape (taus, samples): one linearization (vector model) and one chart
     update per sweep, with one gain and one chart covariance per tau; the
-    costs read only the means that both estimators map to the group.  A
-    sample whose innovation or either scoring logarithm leaves the chart
-    domain is excluded pairwise and counted.  Each cost column is one
-    reduction over the (taus, samples) grid, every tau's row summed in the
-    order of a reduction over that tau alone; only a tau that lost samples
-    is scored again over its kept ones, and one that kept none gets NaN
-    costs.  The run fails with ExclusionOverflowError if more than 0.1% of
+    costs read only the means that both estimators map to the group, both
+    taken through one chart logarithm.  A sample whose innovation or either
+    scoring logarithm leaves the chart domain is excluded pairwise and
+    counted, and ``fusion._costs`` scores every tau over its kept samples
+    (NaN if none).  The run fails with RejectionOverflowError under the
+    rule of ``distribution.sample`` (more than 1% and more than 10 prior
+    draws redrawn), and with ExclusionOverflowError if more than 0.1% of
     all samples are excluded.
     Each record's ``wall_time`` is an equal share of the sweep's elapsed
     time; ``rejected`` and ``excluded`` count its own tau's redrawn prior
@@ -259,12 +259,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
 
     draws, noise, rejected = _draw_streams(cfg.seed, len(taus), cfg.sample_count,
                                            root, len(shape))
-    rejected_draws = int(rejected.sum())
-    # Poisson noise at small sample counts must not trip the 1% bound
-    if rejected_draws > max(10.0, 0.01 * (total + rejected_draws)):
-        raise RejectionOverflowError(
-            f"{rejected_draws} prior draws rejected out of "
-            f"{total + rejected_draws}")
+    _check_rejections(int(rejected.sum()), total)
     truth = mu @ _SO3.exp(draws)                            # (taus, samples, 3, 3)
     noise *= np.sqrt(taus[:, None, None] * np.diag(shape))
     R = symmetrize(taus[:, None, None] * shape)
@@ -278,28 +273,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
         z, valid = _SO3.log_masked(np.linalg.inv(mu) @ (truth @ _SO3.exp(noise)))
         z[~valid] = 0.0
     m, cov = _kalman_step(linearization, P, R, z)
-    truth_inv = np.swapaxes(truth, -1, -2)
-    (e_plain, ok_plain), (e_mod, ok_mod) = [
-        _SO3.log_masked(truth_inv @ _posterior_mean(_SO3, mu, m, cov, flag))
-        for flag in (False, True)]
-    ok = valid & ok_plain & ok_mod
+    estimates = np.stack([_posterior_mean(_SO3, mu, m, cov, flag) for flag in (False, True)])
+    errors, scored = _SO3.log_masked(np.swapaxes(truth, -1, -2) @ estimates)
+    ok = valid & scored.all(axis=0)                        # (taus, samples)
     excluded_per_tau = cfg.sample_count - ok.sum(axis=1)
     excluded = int(excluded_per_tau.sum())
-
-    # c1 and c2 of both estimators, one reduction per column over all taus,
-    # each row summed as a tau's own samples are; a tau that lost samples is
-    # scored again over its kept ones, copied contiguous to keep that order.
-    # c1 keeps one norm (a BLAS dot) per row: no vectorized form matches it.
-    errors = np.stack((e_plain, e_mod))                    # (2, taus, samples, 3)
-    means, c2 = errors.mean(axis=2), (errors * errors).sum(axis=-1).mean(axis=2)
-    for j in np.flatnonzero(excluded_per_tau):
-        kept = np.ascontiguousarray(errors[:, j, ok[j]])
-        if kept.size:
-            means[:, j], c2[:, j] = kept.mean(axis=1), (kept * kept).sum(axis=-1).mean(axis=1)
-        else:                                              # every sample excluded
-            means[:, j] = c2[:, j] = np.nan
-    c1 = [[float(np.linalg.norm(v) ** 2) for v in rows] for rows in means]
-    costs = zip(*c1, *c2.tolist())
+    c1, c2 = _costs(errors, ok)                            # (2, taus) each, plain first
+    costs = zip(*c1.tolist(), *c2.tolist())
     elapsed = time.perf_counter() - start
     records = [TrialRecord(float(tau), *cost, wall_time=elapsed / len(taus),
                            rejected=int(rej), excluded=int(exc))

@@ -239,7 +239,9 @@ def fuse_group(group: MatrixLieGroup, prior: ConcentratedGaussian,
     shares the prior and the gain.  A stack ``obs.noise_cov`` of shape
     ``(T, N, N)`` meets observations ``(T, S, n, n)``: each leading index gets
     its own gain, and the posterior has mean ``(T, S, n, n)`` and covariance
-    ``(T, S, N, N)``."""
+    ``(T, S, N, N)``.  An observation map ``obs.func`` raises ``ValueError``."""
+    if obs.func is not None:
+        raise ValueError("fuse_group takes no obs.func; use gaussian_update_general")
     mu = np.asarray(prior.mean, float)
     P = symmetrize(np.asarray(prior.cov, float))
     R = symmetrize(np.asarray(obs.noise_cov, float))
@@ -247,17 +249,31 @@ def fuse_group(group: MatrixLieGroup, prior: ConcentratedGaussian,
     return _posterior(group, mu, *_kalman_step((0.0, np.eye(group.dim), 0.0), P, R, y), modified)
 
 
+def _costs(errors: np.ndarray, ok: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """c1 (squared norm of the mean) and c2 (mean squared norm) over the samples S
+    of chart errors ``(..., T, S, N)``, shape ``(..., T)``, each row summed as a
+    reduction over it alone and c1 by one norm (a BLAS dot) per row, which no
+    vectorized form matches.  Under a mask ``ok`` ``(T, S)`` a row that lost samples
+    is scored again over its kept ones, copied contiguous first; none kept is NaN."""
+    means, c2 = errors.mean(axis=-2), (errors * errors).sum(axis=-1).mean(axis=-1)
+    c1 = np.reshape([np.linalg.norm(v) ** 2 for v in means.reshape(-1, means.shape[-1])], c2.shape)
+    for j in (np.flatnonzero(~ok.all(axis=-1)) if ok is not None else ()):
+        kept = np.ascontiguousarray(errors[..., j, ok[j], :])
+        c1[..., j], c2[..., j] = _costs(kept) if kept.size else (np.nan, np.nan)
+    return c1, c2
+
+
 def cost_c1(group: MatrixLieGroup, truths: np.ndarray,
             estimates: np.ndarray) -> float:
-    """Squared norm of the mean chart error over (truth, estimate) pairs."""
+    """Squared norm of the mean chart error over (truth, estimate) pairs: c1 of :func:`_costs`."""
     logs = group.log(np.linalg.inv(np.asarray(truths, float))
                      @ np.asarray(estimates, float))
-    return float(np.linalg.norm(logs.mean(axis=0)) ** 2)
+    return float(_costs(logs)[0])
 
 
 def cost_c2(group: MatrixLieGroup, truths: np.ndarray,
             estimates: np.ndarray) -> float:
-    """Mean squared chart error over (truth, estimate) pairs."""
+    """Mean squared chart error over (truth, estimate) pairs: c2 of :func:`_costs`."""
     logs = group.log(np.linalg.inv(np.asarray(truths, float))
                      @ np.asarray(estimates, float))
-    return float((logs * logs).sum(axis=-1).mean())
+    return float(_costs(logs)[1])

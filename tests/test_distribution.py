@@ -4,9 +4,10 @@ import pytest
 from liefilter.distribution import (
     ConcentratedGaussian,
     ExpectationConfig,
+    _check_rejections,
     empirical_covariance,
     empirical_group_mean,
-    expect,
+    expectation_nodes,
     fit_mean_covariance,
     frechet_mean,
     project_psd,
@@ -40,21 +41,23 @@ def mc_group_mean(group, samples, start, iters=60):
 def test_expect_identity_recovers_mean():
     m = np.array([0.2, -0.1, 0.05])
     cov = np.diag([0.04, 0.02, 0.03])
-    got = expect(lambda x: x, m, cov)
+    got = expectation_nodes(m, cov).mean(axis=0)
     assert np.abs(got - m).max() < 1e-15
 
 
 def test_expect_outer_product_recovers_cov():
     cov = np.array([[0.04, 0.01, 0.0], [0.01, 0.05, -0.005], [0.0, -0.005, 0.02]])
-    got = expect(lambda x: x[:, :, None] * x[:, None, :], np.zeros(3), cov)
+    x = expectation_nodes(np.zeros(3), cov)
+    got = (x[:, :, None] * x[:, None, :]).mean(axis=0)
     assert np.abs(got - cov).max() < 1e-15
 
 
 def test_expect_cubature_close_to_monte_carlo(so3):
     cov = 0.01 * np.eye(3)
-    cub = expect(so3.left_jacobian_inv, np.zeros(3), cov)
-    mc = expect(so3.left_jacobian_inv, np.zeros(3), cov,
-                ExpectationConfig(method="monte-carlo", sample_count=10**6, seed=0))
+    cub = so3.left_jacobian_inv(expectation_nodes(np.zeros(3), cov)).mean(axis=0)
+    mc = so3.left_jacobian_inv(expectation_nodes(
+        np.zeros(3), cov,
+        ExpectationConfig(method="monte-carlo", sample_count=10**6, seed=0))).mean(axis=0)
     assert np.abs(cub - mc).max() < 1e-3
 
 
@@ -94,7 +97,16 @@ def test_sqrt_psd_stack_equals_per_matrix_calls():
 
 def test_expect_unknown_method():
     with pytest.raises(ValueError):
-        expect(lambda x: x, np.zeros(2), np.eye(2), ExpectationConfig(method="sobol"))
+        expectation_nodes(np.zeros(2), np.eye(2), ExpectationConfig(method="sobol")).mean(axis=0)
+
+
+@pytest.mark.parametrize("args", [("sobol",), ("monte-carlo", 0, 1), ("monte-carlo", -5),
+                                  ("monte-carlo", 2.5), ("cubature", 0)])
+def test_expectation_config_rejects_what_expectation_nodes_cannot_use(args):
+    """An unknown method or a sample count below one fails where the config
+    is built, not later inside an eigensolver."""
+    with pytest.raises(ValueError):
+        ExpectationConfig(*args)
 
 
 # -- sampling -------------------------------------------------------------------
@@ -118,6 +130,23 @@ def test_sample_rejection_overflow(so3):
     mu = np.eye(3)
     with pytest.raises(RejectionOverflowError):
         sample(so3, ConcentratedGaussian(mu, 9.0 * np.eye(3)), 2000, seed=3)
+
+
+def test_rejection_rule_needs_more_than_one_percent_and_more_than_ten():
+    _check_rejections(10, 990)                 # 10 of 1,000 draws
+    _check_rejections(10, 5)                   # two thirds, but only 10
+    with pytest.raises(RejectionOverflowError, match="11/1000 draws"):
+        _check_rejections(11, 989)
+
+
+def test_sample_passes_the_sweep_prior_at_a_small_count(so3):
+    """The sweep's prior covariance redraws about 0.65% of its draws; one
+    rejection among 51 draws is Poisson noise, not a wide covariance."""
+    prior = ConcentratedGaussian(np.eye(3), np.diag([0.5, 1.0, 0.8]))
+    draws = sample(so3, prior, 50, seed=198)
+    assert draws.shape == (50, 3, 3)
+    xs = np.random.default_rng(198).standard_normal((50, 3)) @ sqrt_psd(prior.cov).T
+    assert not so3.in_domain(xs).all()                 # one draw was redrawn
 
 
 def test_sample_deterministic(so3):

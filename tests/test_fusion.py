@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from liefilter.distribution import ConcentratedGaussian, fit_mean_covariance
 from liefilter.fusion import (
     ObservationModelEuclidean,
     ObservationModelGroup,
+    _costs,
     _linearize,
     cost_c1,
     cost_c2,
@@ -252,6 +255,15 @@ def test_fuse_group_covariance_monotone(so3):
         assert np.trace(big.cov) <= np.trace(P) + 1e-10
 
 
+def test_fuse_group_rejects_an_observation_map(so3):
+    """fuse_group observes the state itself: a map such as the transpose
+    would otherwise be read as the identity."""
+    prior = ConcentratedGaussian(np.eye(3), 0.1 * np.eye(3))
+    obs = ObservationModelGroup(so3, 0.01 * np.eye(3), func=lambda g: np.swapaxes(g, -1, -2))
+    with pytest.raises(ValueError, match="gaussian_update_general"):
+        fuse_group(so3, prior, obs, so3.exp(np.array([0.1, 0.0, 0.0])))
+
+
 def test_fuse_group_consistent_with_general_path(so3):
     # R comparable to the prior keeps the posterior covariance tracking the
     # prior scale, so the dropped-term gap shows its quadratic order
@@ -300,6 +312,37 @@ def test_costs_match_brute_force(so3):
     c2_ref = float(sum(np.dot(l, l) for l in logs) / 3.0)
     assert abs(cost_c1(so3, truths, estimates) - c1_ref) < 1e-15
     assert abs(cost_c2(so3, truths, estimates) - c2_ref) < 1e-15
+
+
+def test_costs_equal_the_per_pair_formulas_bitwise(so3):
+    """cost_c1 and cost_c2 score through _costs, bit for bit as the two
+    formulas written out on the chart errors."""
+    rng = np.random.default_rng(36)
+    for count in (1, 2, 7, 1000):
+        truths = so3.exp(0.5 * rng.standard_normal((count, 3)))
+        estimates = so3.exp(0.5 * rng.standard_normal((count, 3)))
+        logs = so3.log(np.linalg.inv(truths) @ estimates)
+        assert cost_c1(so3, truths, estimates) == float(np.linalg.norm(logs.mean(axis=0)) ** 2)
+        assert cost_c2(so3, truths, estimates) == float((logs * logs).sum(axis=-1).mean())
+
+
+def test_masked_costs_equal_unmasked_calls_on_kept_samples_bitwise():
+    """A (2, T, S, 3) stack under a (T, S) mask: every row scores as an
+    unmasked call on its kept samples alone, and a row that kept none is
+    NaN without a RuntimeWarning from a mean over no samples."""
+    rng = np.random.default_rng(37)
+    errors = rng.standard_normal((2, 4, 200, 3))
+    ok = rng.random((4, 200)) > 0.1
+    ok[1], ok[3] = True, False                        # row 1 loses none, row 3 all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        c1, c2 = _costs(errors, ok)
+    assert c1.shape == c2.shape == (2, 4)
+    for k in range(2):
+        for j in range(3):
+            one = _costs(errors[k, j, ok[j]])
+            assert (c1[k, j], c2[k, j]) == (one[0], one[1])
+    assert np.isnan(c1[:, 3]).all() and np.isnan(c2[:, 3]).all()
 
 
 def test_singular_innovation_raises(so3):
