@@ -44,17 +44,19 @@ class ExpectationConfig:
             raise ValueError(f"unknown expectation method {self.method!r}")
         if not isinstance(self.sample_count, numbers.Integral) or self.sample_count < 1:
             raise ValueError("sample_count must be an integer >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
-def project_psd(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Clamp eigenvalues of a symmetric matrix, or a stack of them, at ``floor``."""
+def project_psd(mat: np.ndarray) -> np.ndarray:
+    """Clamp eigenvalues of a symmetric matrix, or a stack of them, at zero."""
     sym = symmetrize(np.asarray(mat, float))
     vals, vecs = np.linalg.eigh(sym)
-    return (vecs * np.maximum(vals, floor)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return (vecs * np.maximum(vals, 0.0)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def sqrt_psd(cov: np.ndarray) -> np.ndarray:

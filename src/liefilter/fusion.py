@@ -11,11 +11,11 @@ Three routes are provided:
 * :func:`fuse_group` is the same Kalman update with H = I, for full-state
   group observations.
 
-Both closed forms raise ``InnovationSingularError`` on an ill-conditioned
-innovation covariance and end with an optional mean/covariance correction
-that moves the chart posterior to the group-theoretic posterior; disabling it
-(``modified=False``) reproduces the plain Kalman projection, which is the
-baseline the experiment harness compares against.
+All three end in one chart Kalman update, which raises ``InnovationSingularError``
+on an ill-conditioned innovation covariance.  The closed forms then apply an
+optional mean/covariance correction that moves the chart posterior to the
+group-theoretic posterior; disabling it (``modified=False``) reproduces the
+plain Kalman projection, the baseline the experiment harness compares against.
 """
 
 from __future__ import annotations
@@ -70,17 +70,21 @@ class PosteriorCoordinates:
     gain: np.ndarray              # K = C S^-1
 
 
-def _solve_gain(S: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The gain C S^-1 for an innovation covariance S, or a stack (..., M, M)
-    of them, each with its own gain."""
-    S = symmetrize(S)
-    cond = np.linalg.cond(S)
+def _gain_update(P: np.ndarray, S: np.ndarray, C: np.ndarray, innovation: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chart means ``innovation @ K^T``, covariance project_psd(P - K S K^T) and
+    the gain K = C S^-1, solved on symmetrized S (S itself, or each of a stack
+    (..., M, M), enters the covariance as given)."""
+    sym = symmetrize(S)
+    cond = np.linalg.cond(sym)
     if np.any(cond > _COND_LIMIT):
         first = np.argwhere(cond > _COND_LIMIT)[0]             # empty for one S
         where = f" at stack index {tuple(int(k) for k in first)}" if len(first) else ""
         raise InnovationSingularError(
             f"innovation covariance condition number exceeds {_COND_LIMIT:.0e}{where}")
-    return np.swapaxes(np.linalg.solve(S, np.swapaxes(C, -1, -2)), -1, -2)
+    K_t = np.linalg.solve(sym, np.swapaxes(C, -1, -2))
+    K = np.swapaxes(K_t, -1, -2)
+    return innovation @ K_t, project_psd(P - K @ S @ K_t), K
 
 
 def gaussian_update_general(group: MatrixLieGroup,
@@ -92,7 +96,8 @@ def gaussian_update_general(group: MatrixLieGroup,
     """Gaussian-filter update on chart coordinates by joint cubature.
 
     Expectations run over the product Gaussian N(x|0, P) N(r|0, R) in
-    dimension N+M; the observation map must broadcast over stacked group
+    dimension N+M, and the cubature S and C enter the Kalman update of the
+    closed forms; the observation map must broadcast over stacked group
     elements.  ``fit_mean_covariance(group, post.m, post.cov, prior.mean)``
     maps the result to the group.
     """
@@ -124,9 +129,7 @@ def gaussian_update_general(group: MatrixLieGroup,
     centered = zs - predicted
     S = np.einsum("ki,kj->ij", centered, centered) / len(zs)
     C = np.einsum("ki,kj->ij", xs, centered) / len(zs)
-    K = _solve_gain(S, C)
-    m = K @ (innovation - predicted)
-    cov = project_psd(P - K @ S @ K.T)
+    m, cov, K = _gain_update(P, S, C, innovation - predicted)
     return PosteriorCoordinates(m, cov, predicted, S, C, K)
 
 
@@ -151,13 +154,11 @@ def _posterior(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,
     """Map chart means ``(..., N)`` and the shared, already projected chart
     covariance (or ``(T, N, N)`` for means ``(T, S, N)``) to the group
     posterior, with or without the correction: the mean m' of
-    :func:`_corrected_mean` and the covariance plus sym((1/2) cov_ij ad_i m' e_j^T)."""
+    :func:`_corrected_mean` and the projected covariance C - (1/2)(ad(m') C + C ad(m')^T)."""
     per_sample = cov if cov.ndim == 2 else cov[..., None, :, :]   # against (T, S, N)
     if modified:
-        ad_basis = group.ad(np.eye(group.dim))                 # ad_basis[i] = ad(e_i)
-        m = _corrected_mean(ad_basis, m, cov)
-        adm = np.einsum("iab,...b->...ia", ad_basis, m)        # ad_i m'
-        bump = 0.5 * np.einsum("...ij,...ia->...aj", per_sample, adm)
+        m = _corrected_mean(group.ad(np.eye(group.dim)), m, cov)
+        bump = -0.5 * group.ad(m) @ per_sample                  # ad_i m' = -ad(m') e_i
         cov = project_psd(per_sample + bump + np.swapaxes(bump, -1, -2))
     else:
         cov = np.broadcast_to(per_sample, m.shape[:-1] + cov.shape[-2:]).copy()
@@ -189,19 +190,14 @@ def _linearize(group: MatrixLieGroup, func: Callable[[np.ndarray], np.ndarray],
 def _kalman_step(linearization: tuple[np.ndarray, np.ndarray, np.ndarray],
                  P: np.ndarray, R: np.ndarray, z: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Chart means ``(..., N)`` and the shared projected chart covariance for
-    observations ``z`` of shape ``(..., M)``, given the linearization
-    ``(k(mu), H, bend)`` (``(0, I, 0)`` for a full-state innovation), the
-    symmetrized prior covariance ``P`` and noise covariance ``R``.  A stack
+    """:func:`_gain_update` with S = H P H^T + R, C = P H^T: chart means ``(..., N)``
+    and the shared covariance for observations ``z`` ``(..., M)``, given the
+    linearization ``(k(mu), H, bend)`` (``(0, I, 0)`` for a full-state innovation),
+    the symmetrized prior covariance ``P`` and noise covariance ``R``.  A stack
     ``R`` of shape ``(T, M, M)`` meets observations ``(T, S, M)`` and gives
     means ``(T, S, N)`` and one covariance per leading index, ``(T, N, N)``."""
     k_mu, slopes, bend = linearization
-    S = slopes @ P @ slopes.T + R
-    C = P @ slopes.T
-    K = _solve_gain(S, C)
-    K_t = np.swapaxes(K, -1, -2)
-    m = (z - k_mu - 0.5 * bend) @ K_t
-    return m, project_psd(P - K @ S @ K_t)
+    return _gain_update(P, slopes @ P @ slopes.T + R, P @ slopes.T, z - k_mu - 0.5 * bend)[:2]
 
 
 def fuse_euclidean(group: MatrixLieGroup, prior: ConcentratedGaussian,

@@ -65,13 +65,12 @@ def test_project_psd_stack_equals_per_matrix_loop():
     rng = np.random.default_rng(11)
     w = rng.standard_normal((2, 5, 4, 4))
     mats = w + np.swapaxes(w, -1, -2)                   # symmetric, indefinite
-    for floor in (0.0, 0.3):
-        stacked = project_psd(mats, floor)
-        assert stacked.shape == mats.shape
-        for idx in np.ndindex(2, 5):
-            single = project_psd(mats[idx], floor)
-            assert np.abs(stacked[idx] - single).max() <= 1e-14
-            assert np.linalg.eigvalsh(single).min() >= floor - 1e-12
+    stacked = project_psd(mats)
+    assert stacked.shape == mats.shape
+    for idx in np.ndindex(2, 5):
+        single = project_psd(mats[idx])
+        assert np.abs(stacked[idx] - single).max() <= 1e-14
+        assert np.linalg.eigvalsh(single).min() >= -1e-12
 
 
 def test_sqrt_psd_rejects_indefinite():
@@ -101,10 +100,12 @@ def test_expect_unknown_method():
 
 
 @pytest.mark.parametrize("args", [("sobol",), ("monte-carlo", 0, 1), ("monte-carlo", -5),
-                                  ("monte-carlo", 2.5), ("cubature", 0)])
+                                  ("monte-carlo", 2.5), ("cubature", 0),
+                                  ("monte-carlo", 10, -1), ("monte-carlo", 10, 0.5)])
 def test_expectation_config_rejects_what_expectation_nodes_cannot_use(args):
-    """An unknown method or a sample count below one fails where the config
-    is built, not later inside an eigensolver."""
+    """An unknown method, a sample count below one or a seed that is not a
+    non-negative integer fails where the config is built, not later inside an
+    eigensolver or the random generator."""
     with pytest.raises(ValueError):
         ExpectationConfig(*args)
 

@@ -3,12 +3,20 @@ import warnings
 import numpy as np
 import pytest
 
-from liefilter.distribution import ConcentratedGaussian, fit_mean_covariance
+from liefilter.distribution import (
+    ConcentratedGaussian,
+    fit_mean_covariance,
+    project_psd,
+    symmetrize,
+)
 from liefilter.fusion import (
     ObservationModelEuclidean,
     ObservationModelGroup,
+    _corrected_mean,
     _costs,
+    _kalman_step,
     _linearize,
+    _posterior,
     cost_c1,
     cost_c2,
     fuse_euclidean,
@@ -90,6 +98,93 @@ def test_general_update_abelian_linear_is_textbook_kalman(diag3):
     assert np.abs(post.m - m_ref).max() < 1e-12
     assert np.abs(post.cov - cov_ref).max() < 1e-12
     assert np.abs(post.gain - K).max() < 1e-12
+
+
+# -- the shared Kalman update -------------------------------------------------------
+
+def transcribed_gain(S, C):
+    """K = C S^-1, one per leading index, solved on the symmetrized S."""
+    return np.swapaxes(np.linalg.solve(symmetrize(S), np.swapaxes(C, -1, -2)), -1, -2)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("model", ["euclidean", "group"])
+def test_kalman_step_equals_the_transcribed_update_bitwise(so3, model, stacked):
+    """Means (z - k(mu) - bend/2) K^T and covariance project_psd(P - K S K^T),
+    K from the symmetrized S and the covariance from S as given, with one R
+    or a stack (T, M, M) against observations (T, S, M)."""
+    rng = np.random.default_rng(71)
+    mu = so3.exp(np.array([0.4, -0.3, 0.2]))
+    A = rng.standard_normal((3, 3))
+    P = symmetrize(0.02 * A @ A.T + 0.01 * np.eye(3))
+    if model == "euclidean":
+        linearization, size = _linearize(so3, measure_euclidean, mu, P), 6
+    else:
+        linearization, size = (0.0, np.eye(3), 0.0), 3
+    B = rng.standard_normal((4, size, size))
+    R = symmetrize(0.01 * B @ np.swapaxes(B, -1, -2) + 1e-3 * np.eye(size))
+    if not stacked:
+        R = R[0]
+    z = rng.standard_normal(R.shape[:-2] + (5, size))
+    k_mu, H, bend = linearization
+    S = H @ P @ H.T + R
+    K = transcribed_gain(S, P @ H.T)
+    K_t = np.swapaxes(K, -1, -2)
+    m, cov = _kalman_step(linearization, P, R, z)
+    assert_bitwise(m, (z - k_mu - 0.5 * bend) @ K_t)
+    assert_bitwise(cov, project_psd(P - K @ S @ K_t))
+
+
+@pytest.mark.parametrize("model", ["euclidean", "group"])
+def test_general_update_equals_the_transcribed_update_bitwise(so3, model):
+    """Gain, mean K (innovation - predicted) and covariance project_psd(P - K S K^T)
+    from the cubature S and C, K solved on the symmetrized S."""
+    mu = so3.exp(np.array([0.4, 0.1, -0.2]))
+    P = np.diag([0.03, 0.05, 0.02])
+    prior = ConcentratedGaussian(mu, P)
+    truth = mu @ so3.exp(np.array([0.1, -0.15, 0.05]))
+    if model == "euclidean":
+        obs = ObservationModelEuclidean(measure_euclidean, 0.01 * np.eye(6))
+        observation = measure_euclidean(truth)
+        innovation = observation - measure_euclidean(mu)
+    else:
+        obs = ObservationModelGroup(so3, 0.02 * np.eye(3))
+        observation = truth @ so3.exp(np.array([0.02, 0.01, -0.03]))
+        innovation = so3.log(np.linalg.inv(mu) @ observation)
+    post = gaussian_update_general(so3, prior, obs, observation)
+    K = transcribed_gain(post.innovation_cov, post.cross_cov)
+    assert_bitwise(post.gain, K)
+    assert_bitwise(post.m, K @ (innovation - post.predicted))
+    assert_bitwise(post.cov, project_psd(P - K @ post.innovation_cov @ K.T))
+
+
+def bracket_matrix(group, x):
+    """ad(x) from matrix commutators of the basis: column j is vee([x^, E_j])."""
+    X = group.wedge(x)
+    return np.stack([group.vee(X @ E - E @ X) for E in group.basis], axis=-1)
+
+
+@pytest.mark.parametrize("name", ["so3", "se3"])
+def test_posterior_covariance_is_the_closed_form_correction(request, name):
+    """The corrected covariance is project_psd(C - (ad(m')C + C ad(m')^T)/2),
+    for means sharing one C and for a (T, S) stack with one C per index."""
+    group = request.getfixturevalue(name)
+    dim = group.dim
+    rng = np.random.default_rng(83)
+    mu = group.exp(0.5 * rng.standard_normal(dim))
+    A = rng.standard_normal((3, dim, dim))
+    covs = 0.02 * A @ np.swapaxes(A, -1, -2) / dim
+    ad_basis = group.ad(np.eye(dim))
+    for m, cov in ((0.4 * rng.standard_normal((5, dim)), covs[0]),
+                   (0.4 * rng.standard_normal((3, 4, dim)), covs)):
+        got = _posterior(group, mu, m, cov, modified=True).cov
+        m_prime = _corrected_mean(ad_basis, m, cov)
+        assert got.shape == m.shape + (dim,)
+        for idx in np.ndindex(*m.shape[:-1]):
+            C = cov if cov.ndim == 2 else cov[idx[0]]
+            ad_m = bracket_matrix(group, m_prime[idx])
+            want = project_psd(C - 0.5 * (ad_m @ C + C @ ad_m.T))
+            assert np.abs(got[idx] - want).max() <= 1e-15
 
 
 # -- chart-to-group correction ----------------------------------------------------
@@ -358,6 +453,9 @@ def test_singular_innovation_raises(so3):
     prior = ConcentratedGaussian(np.eye(3), 0.05 * np.eye(3))
     with np.testing.assert_raises(InnovationSingularError):
         fuse_euclidean(so3, prior, obs, np.zeros(6))
+    # the joint-cubature update ends in the same Kalman update and guard
+    with np.testing.assert_raises(InnovationSingularError):
+        gaussian_update_general(so3, prior, obs, np.zeros(6))
     # the full-state update is the same Kalman step with H = I, so S = P + R
     # meets the same guard: singular, and ill-conditioned but invertible
     g_z = so3.exp(np.array([0.1, -0.2, 0.05]))
