@@ -126,26 +126,42 @@ class MeanResult:
     iterations: int
 
 
+def _corrected_mean(ad_basis: np.ndarray, m: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The fitting formula m' = <J_l^-1>^-1 m to first order in the covariance,
+    (I - (1/12) cov_ij ad_i ad_j) m with ad_i = ``ad_basis[i]``, for chart means
+    ``(..., N)`` sharing one ``(N, N)`` cov, or ``(T, S, N)`` with one per leading index."""
+    quad = np.einsum("...ij,iab,jbc->...ac", cov, ad_basis, ad_basis)
+    return m @ np.swapaxes(np.eye(len(ad_basis)) - quad / 12.0, -1, -2)
+
+
+def _chart_logs(group: MatrixLieGroup, samples: np.ndarray):
+    """mu -> log(mu^-1 g_i) over a non-empty stack; the g_i^T are kept as rows, so
+    each (mu^-1 g_i)^T = g_i^T mu^-T is one matrix product, not one per sample."""
+    if len(samples) == 0:
+        raise ValueError("at least one sample is required")
+    gt = np.ascontiguousarray(samples.swapaxes(-1, -2)).reshape(-1, samples.shape[-1])
+    return lambda mu: group.log((gt @ np.linalg.inv(mu).T).reshape(samples.shape).swapaxes(-1, -2))
+
+
 def empirical_group_mean(group: MatrixLieGroup, samples: np.ndarray,
                          tol: float = 1e-12, max_iter: int = 100) -> MeanResult:
-    """Fixed-point iteration mu <- mu exp(mean_i log(mu^-1 g_i)).
+    """Newton iteration mu <- mu exp((I - Q/12) r), r and C the weighted mean and
+    second moment of the logs log(mu^-1 g_i), Q = C_ij ad_i ad_j: the fitting
+    formula's step <J_l^-1>^-1 r to first order in C (:func:`_corrected_mean`).
 
-    The returned residual is the norm of the mean chart-log r at the last
-    iterate visited, i.e. the defining balance condition of the group mean
-    evaluated on the empirical measure; once it is below ``tol`` the returned
-    mean is that iterate moved by the sub-tolerance step, mu exp(r).
-    """
+    The returned residual is |r| at the last iterate visited, the defining balance
+    condition of the group mean on the empirical measure; once it is below ``tol``
+    the returned mean is that iterate moved by the sub-tolerance step."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     samples = np.asarray(samples, float)
-    mu = samples[0].copy()
-    # Rows of the stacked g_i^T, so that each (mu^-1 g_i)^T = g_i^T mu^-T of an
-    # iteration is one matrix product rather than one per sample.
-    cols = np.ascontiguousarray(samples.swapaxes(-1, -2)).reshape(-1, samples.shape[-1])
+    logs_about, mu = _chart_logs(group, samples), samples[0].copy()
+    weights, ad_basis = np.full(len(samples), 1.0 / len(samples)), group.ad(np.eye(group.dim))
     for it in range(1, max_iter + 1):
-        rel = (cols @ np.linalg.inv(mu).T).reshape(samples.shape).swapaxes(-1, -2)
-        logs = group.log(rel)
-        r = logs.mean(axis=0)
+        logs = logs_about(mu)
+        r = weights @ logs
         residual = float(np.linalg.norm(r))
-        mu = mu @ group.exp(r)
+        mu = mu @ group.exp(_corrected_mean(ad_basis, r, (logs.T * weights) @ logs))
         if residual < tol:
             return MeanResult(mu, residual, it)
     raise NoConvergenceError(
@@ -161,11 +177,13 @@ def frechet_mean(group: MatrixLieGroup, samples: np.ndarray,
     at the iterate; its gradient with respect to a right perturbation
     mu exp(eps) is -2 mean_i J_l^-T(y_i) y_i with y_i = log(mu^-1 g_i).
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     samples = np.asarray(samples, float)
-    mu = samples[0].copy()
+    logs_about, mu = _chart_logs(group, samples), samples[0].copy()
 
     def cost_and_grad(m):
-        ys = group.log(np.linalg.inv(m) @ samples)
+        ys = logs_about(m)
         jlt = np.swapaxes(group.left_jacobian_inv(ys), -1, -2)
         grad = -2.0 * np.einsum("kij,kj->i", jlt, ys) / len(ys)
         return float((ys * ys).sum(axis=-1).mean()), grad
@@ -192,9 +210,9 @@ def frechet_mean(group: MatrixLieGroup, samples: np.ndarray,
 
 def empirical_covariance(group: MatrixLieGroup, samples: np.ndarray,
                          mu: np.ndarray) -> np.ndarray:
-    """Plain average of outer products of chart logs about mu."""
-    logs = group.log(np.linalg.inv(mu) @ np.asarray(samples, float))
-    return np.einsum("ki,kj->ij", logs, logs) / len(logs)
+    """Plain average of outer products of chart logs about mu, one matrix product."""
+    logs = _chart_logs(group, np.asarray(samples, float))(mu)
+    return logs.T @ logs / len(logs)
 
 
 def _fitting_terms(jli: np.ndarray, nodes: np.ndarray, m: np.ndarray

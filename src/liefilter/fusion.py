@@ -28,6 +28,7 @@ import numpy as np
 from .distribution import (
     ConcentratedGaussian,
     ExpectationConfig,
+    _corrected_mean,
     expectation_nodes,
     project_psd,
     symmetrize,
@@ -131,15 +132,6 @@ def gaussian_update_general(group: MatrixLieGroup,
     C = np.einsum("ki,kj->ij", xs, centered) / len(zs)
     m, cov, K = _gain_update(P, S, C, innovation - predicted)
     return PosteriorCoordinates(m, cov, predicted, S, C, K)
-
-
-def _corrected_mean(ad_basis: np.ndarray, m: np.ndarray, cov: np.ndarray
-                    ) -> np.ndarray:
-    """Closed-form mean correction m' = (I - (1/12) cov_ij ad_i ad_j) m, ad_i =
-    ``ad_basis[i]``, for chart means ``(..., N)`` sharing one covariance
-    ``(N, N)``, or means ``(T, S, N)`` with one covariance per leading index."""
-    quad = np.einsum("...ij,iab,jbc->...ac", cov, ad_basis, ad_basis)
-    return m @ np.swapaxes(np.eye(len(ad_basis)) - quad / 12.0, -1, -2)
 
 
 def _posterior_mean(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,

@@ -97,7 +97,9 @@ def wiener_halves(seed: int, step: int, path_count: int, dim: int,
         raise ValueError("seed must be an integer in [0, 2**64)")
     bitgen = np.random.Philox(key=key, counter=[0, 0, 0, step])
     rng = np.random.Generator(bitgen)
-    return rng.standard_normal((path_count, 2, dim)) * np.sqrt(dt / 2.0)
+    out = rng.standard_normal((path_count, 2, dim))
+    out *= np.sqrt(dt / 2.0)           # in place: no second (path_count, 2, dim) array
+    return out
 
 
 def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -191,10 +193,13 @@ def _chart_coefficients(group: MatrixLieGroup, model: SdeModel, mu: np.ndarray,
     del g                      # freed before the partials: lower peak memory
     if model.interpretation == STRATONOVICH:
         jri = group.right_jacobian_inv(x)
-        return _mv(jri, h), jri @ big, jri
-    jri, parts = group.right_jacobian_inv_partials(x)
-    corr = _ito_curvature(jri, parts, big @ np.swapaxes(big, -1, -2))
-    return _mv(jri, h) + corr, jri @ big, jri
+        a = _mv(jri, h)
+    else:
+        jri, parts = group.right_jacobian_inv_partials(x)
+        a = _mv(jri, h) + _ito_curvature(jri, parts, big @ np.swapaxes(big, -1, -2))
+    # A shared (N, N) H: one product on the stack's rows, the stacked product bit for bit.
+    b = jri @ big if big.ndim > 2 else (jri.reshape(-1, len(big)) @ big).reshape(jri.shape)
+    return a, b, jri
 
 
 def ito_injection_to_parametric(group: MatrixLieGroup, model: SdeModel,

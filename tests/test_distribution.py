@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from liefilter.distribution import (
     ConcentratedGaussian,
     ExpectationConfig,
     _check_rejections,
+    _corrected_mean,
     empirical_covariance,
     empirical_group_mean,
     expectation_nodes,
@@ -24,14 +27,15 @@ from liefilter.groups import SO3
 from conftest import assert_bitwise
 
 
-def mc_group_mean(group, samples, start, iters=60):
-    """Plain fixed-point iteration written independently of the library."""
+def mc_group_mean(group, samples, start, iters=60, tol=1e-14):
+    """Plain fixed-point iteration mu <- mu exp(mean_i log(mu^-1 g_i)),
+    written independently of the library."""
     mu = start.copy()
     for _ in range(iters):
         logs = group.log(np.linalg.inv(mu) @ samples)
         r = logs.mean(axis=0)
         mu = mu @ group.exp(r)
-        if np.linalg.norm(r) < 1e-14:
+        if np.linalg.norm(r) < tol:
             break
     return mu
 
@@ -190,12 +194,16 @@ def test_group_mean_residual_certificate(so3):
 
 
 def _group_mean_stacked(group, samples, tol=1e-12, max_iter=100):
-    """The fixed point with one stacked inv(mu) @ samples per iteration."""
+    """The fitting-formula iteration with one stacked inv(mu) @ samples per
+    iteration."""
     mu = samples[0].copy()
+    weights = np.full(len(samples), 1.0 / len(samples))
+    ad_basis = group.ad(np.eye(group.dim))
     for it in range(1, max_iter + 1):
-        r = group.log(np.linalg.inv(mu) @ samples).mean(axis=0)
+        logs = group.log(np.linalg.inv(mu) @ samples)
+        r = weights @ logs
         residual = float(np.linalg.norm(r))
-        mu = mu @ group.exp(r)
+        mu = mu @ group.exp(_corrected_mean(ad_basis, r, (logs.T * weights) @ logs))
         if residual < tol:
             return mu, residual, it
     raise AssertionError("reference did not converge")
@@ -213,6 +221,28 @@ def test_group_mean_matches_stacked_products_bitwise(so3, diag3):
         mu, residual, it = _group_mean_stacked(group, samples)
         assert_bitwise(res.mean, mu)
         assert res.residual == residual and res.iterations == it
+
+
+def test_group_mean_fitting_step_reaches_the_plain_fixed_point(so3):
+    # The plain step mu <- mu exp(r) needs 7 passes here; the fitting
+    # formula's first-order step reaches the same point in 4.
+    draws = sample(so3, ConcentratedGaussian(so3.exp(np.array([0.4, -0.2, 0.9])),
+                                             0.05 * np.eye(3)), 10_000, seed=3)
+    res = empirical_group_mean(so3, draws, tol=1e-12)
+    assert res.iterations <= 4 and res.residual < 1e-12
+    fixed = mc_group_mean(so3, draws, draws[0], tol=1e-15)
+    assert np.linalg.norm(so3.log(np.linalg.inv(fixed) @ res.mean)) <= 1e-15
+    logs = so3.log(np.linalg.inv(res.mean) @ draws)
+    assert np.linalg.norm(logs.mean(axis=0)) < 1e-12
+
+
+@pytest.mark.parametrize("mean_fn", [empirical_group_mean, frechet_mean])
+def test_iterative_means_reject_degenerate_input(so3, mean_fn):
+    draws = sample(so3, ConcentratedGaussian(np.eye(3), 0.02 * np.eye(3)), 20, seed=2)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        mean_fn(so3, draws, max_iter=0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        mean_fn(so3, np.empty((0, 3, 3)))
 
 
 def test_frechet_single_sample(so3):
@@ -259,6 +289,26 @@ def test_covariance_symmetric_pair_exact(so3):
     x = np.array([0.2, 0.1, -0.3])
     samples = np.stack([mu @ so3.exp(x), mu @ so3.exp(-x)])
     assert np.abs(empirical_covariance(so3, samples, mu) - np.outer(x, x)).max() < 1e-14
+
+
+def test_covariance_matches_outer_product_einsum(so3):
+    # One matrix product over the 1e4 samples is within 1e-15 of the exactly
+    # rounded sums; the einsum form it replaces is off by up to 5e-15 itself.
+    mu = so3.exp(np.array([0.25, -0.15, 0.1]))
+    draws = sample(so3, ConcentratedGaussian(mu, 0.05 * np.eye(3)), 10_000, seed=12)
+    logs = so3.log(np.linalg.inv(mu) @ draws)
+    exact = np.array([[math.fsum(logs[:, i] * logs[:, j]) for j in range(3)]
+                      for i in range(3)]) / len(logs)
+    got = empirical_covariance(so3, draws, mu)
+    scale = np.abs(exact).max()
+    assert np.abs(got - exact).max() <= 1e-15 * scale
+    einsum = np.einsum("ki,kj->ij", logs, logs) / len(logs)
+    assert np.abs(got - einsum).max() <= 1e-14 * scale
+
+
+def test_covariance_rejects_empty_stack(so3):
+    with pytest.raises(ValueError, match="at least one sample"):
+        empirical_covariance(so3, np.empty((0, 3, 3)), np.eye(3))
 
 
 def test_covariance_consistent_with_fit(so3):

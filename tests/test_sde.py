@@ -15,6 +15,7 @@ from liefilter.sde import (
     sample_parametric_path,
     stratonovich_injection_to_parametric,
     stratonovich_to_ito,
+    _chart_coefficients,
     _ito_curvature,
     _mv,
     wiener_halves,
@@ -161,10 +162,11 @@ def test_wiener_halves_keys_philox_with_the_seed_itself():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             wiener_halves(seed, 7, 4, 3, 1e-2)
-    for seed in (0, 2**64 - 1):
+    # the in-place scaling must give the bits of a product array
+    for seed, paths in ((0, 4), (2**64 - 1, 4), (42, 10_000)):
         direct = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, 7]))
-        want = direct.standard_normal((4, 2, 3)) * np.sqrt(1e-2 / 2.0)
-        assert_bitwise(wiener_halves(seed, 7, 4, 3, 1e-2), want)
+        want = direct.standard_normal((paths, 2, 3)) * np.sqrt(1e-2 / 2.0)
+        assert_bitwise(wiener_halves(seed, 7, paths, 3, 1e-2), want)
 
 
 def test_path_config_validation():
@@ -295,6 +297,28 @@ def test_ito_curvature_matches_single_contraction_bitwise(so3, se3):
         per_row = big * x[:, :, None]                   # a state-dependent H
         for hht in (big @ big.T, per_row @ np.swapaxes(per_row, -1, -2)):
             assert_bitwise(_ito_curvature(*pair, hht), contraction(*pair, hht))
+
+
+@pytest.mark.parametrize("interpretation", [ITO, STRATONOVICH])
+def test_chart_coefficients_shared_diffusion_is_the_stacked_product_bitwise(
+        so3, se3, interpretation):
+    # A shared (N, N) diffusion multiplies all rows of J_r^-1 in one matrix
+    # product; a state-dependent (..., N, N) one keeps the stacked product.
+    rng = np.random.default_rng(61)
+    root6 = rng.standard_normal((6, 6)) * 0.3
+    cases = ((so3, rng.standard_normal((10_000, 3)) * 0.5),
+             (se3, expectation_nodes(np.zeros(6), root6 @ root6.T)))
+    for group, x in cases:
+        big = rng.standard_normal((group.dim, group.dim)) * 0.2
+        drift = const(rng.standard_normal(group.dim) * 0.1)
+        mu = group.exp(rng.standard_normal(group.dim) * 0.3)
+        _, b, jri = _chart_coefficients(group, SdeModel(drift, const(big), interpretation),
+                                        mu, x, 0.0)
+        assert_bitwise(b, jri @ big)
+        per_state = lambda g, t: big * (1.0 + g[..., :1, :1])    # (..., N, N)
+        _, b, jri = _chart_coefficients(group, SdeModel(drift, per_state, interpretation),
+                                        mu, x, 0.0)
+        assert_bitwise(b, jri @ (big * (1.0 + (mu @ group.exp(x))[..., :1, :1])))
 
 
 # -- Stratonovich <-> Ito -----------------------------------------------------------
