@@ -134,13 +134,11 @@ def _corrected_mean(ad_basis: np.ndarray, m: np.ndarray, cov: np.ndarray) -> np.
     return m @ np.swapaxes(np.eye(len(ad_basis)) - quad / 12.0, -1, -2)
 
 
-def _chart_logs(group: MatrixLieGroup, samples: np.ndarray):
-    """mu -> log(mu^-1 g_i) over a non-empty stack; the g_i^T are kept as rows, so
-    each (mu^-1 g_i)^T = g_i^T mu^-T is one matrix product, not one per sample."""
+def _nonempty(samples) -> np.ndarray:
+    samples = np.asarray(samples, float)
     if len(samples) == 0:
         raise ValueError("at least one sample is required")
-    gt = np.ascontiguousarray(samples.swapaxes(-1, -2)).reshape(-1, samples.shape[-1])
-    return lambda mu: group.log((gt @ np.linalg.inv(mu).T).reshape(samples.shape).swapaxes(-1, -2))
+    return samples
 
 
 def empirical_group_mean(group: MatrixLieGroup, samples: np.ndarray,
@@ -151,17 +149,18 @@ def empirical_group_mean(group: MatrixLieGroup, samples: np.ndarray,
 
     The returned residual is |r| at the last iterate visited, the defining balance
     condition of the group mean on the empirical measure; once it is below ``tol``
-    the returned mean is that iterate moved by the sub-tolerance step."""
+    the returned mean is that iterate moved by the sub-tolerance step.  The logs L
+    are summed component-major, (N, S): r = L w and C = (L w) L^T."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    samples = np.asarray(samples, float)
-    logs_about, mu = _chart_logs(group, samples), samples[0].copy()
+    samples = _nonempty(samples)
+    mu = samples[0].copy()
     weights, ad_basis = np.full(len(samples), 1.0 / len(samples)), group.ad(np.eye(group.dim))
     for it in range(1, max_iter + 1):
-        logs = logs_about(mu)
-        r = weights @ logs
+        logs = group.log_about(mu, samples).T
+        r = logs @ weights
         residual = float(np.linalg.norm(r))
-        mu = mu @ group.exp(_corrected_mean(ad_basis, r, (logs.T * weights) @ logs))
+        mu = mu @ group.exp(_corrected_mean(ad_basis, r, (logs * weights) @ logs.T))
         if residual < tol:
             return MeanResult(mu, residual, it)
     raise NoConvergenceError(
@@ -179,11 +178,11 @@ def frechet_mean(group: MatrixLieGroup, samples: np.ndarray,
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    samples = np.asarray(samples, float)
-    logs_about, mu = _chart_logs(group, samples), samples[0].copy()
+    samples = _nonempty(samples)
+    mu = samples[0].copy()
 
     def cost_and_grad(m):
-        ys = logs_about(m)
+        ys = group.log_about(m, samples)
         jlt = np.swapaxes(group.left_jacobian_inv(ys), -1, -2)
         grad = -2.0 * np.einsum("kij,kj->i", jlt, ys) / len(ys)
         return float((ys * ys).sum(axis=-1).mean()), grad
@@ -210,9 +209,9 @@ def frechet_mean(group: MatrixLieGroup, samples: np.ndarray,
 
 def empirical_covariance(group: MatrixLieGroup, samples: np.ndarray,
                          mu: np.ndarray) -> np.ndarray:
-    """Plain average of outer products of chart logs about mu, one matrix product."""
-    logs = _chart_logs(group, np.asarray(samples, float))(mu)
-    return logs.T @ logs / len(logs)
+    """Plain average of outer products of the (N, S) chart logs L about mu, L L^T / S."""
+    logs = group.log_about(mu, _nonempty(samples)).T
+    return logs @ logs.T / logs.shape[1]
 
 
 def _fitting_terms(jli: np.ndarray, nodes: np.ndarray, m: np.ndarray

@@ -17,6 +17,7 @@ The costs of all taus are scored together, one reduction per cost column.
 
 from __future__ import annotations
 
+import functools
 import logging
 import numbers
 import time
@@ -177,10 +178,11 @@ def _stream_words(seed: int, taus: int, count: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(halves[0::2] | halves[1::2] << np.uint64(32), 0, -1))
 
 
+@functools.cache
 def _seed_words_type() -> type:
     """An ISeedSequence that hands PCG64 one stream's precomputed seed words,
-    built at the call so that importing liefilter does not import
-    numpy.random."""
+    built at the first call, and kept, so that importing liefilter does not
+    import numpy.random."""
     class SeedWords(np.random.bit_generator.ISeedSequence):
         def __init__(self, words):
             self.words = words

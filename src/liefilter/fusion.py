@@ -75,11 +75,12 @@ def _gain_update(P: np.ndarray, S: np.ndarray, C: np.ndarray, innovation: np.nda
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chart means ``innovation @ K^T``, covariance project_psd(P - K S K^T) and
     the gain K = C S^-1, solved on symmetrized S (S itself, or each of a stack
-    (..., M, M), enters the covariance as given)."""
+    (..., M, M), enters the covariance as given); cond = |lambda|max / |lambda|min."""
     sym = symmetrize(S)
-    cond = np.linalg.cond(sym)
-    if np.any(cond > _COND_LIMIT):
-        first = np.argwhere(cond > _COND_LIMIT)[0]             # empty for one S
+    eig = np.abs(np.linalg.eigvalsh(sym))
+    bad = (eig.max(axis=-1) > _COND_LIMIT * eig.min(axis=-1)) | (eig.min(axis=-1) == 0)
+    if np.any(bad):
+        first = np.argwhere(bad)[0]                            # empty for one S
         where = f" at stack index {tuple(int(k) for k in first)}" if len(first) else ""
         raise InnovationSingularError(
             f"innovation covariance condition number exceeds {_COND_LIMIT:.0e}{where}")

@@ -164,6 +164,10 @@ class MatrixLieGroup:
     def log(self, g: np.ndarray) -> np.ndarray:
         raise NotImplementedError(f"{self.name} has no logarithm implementation")
 
+    def log_about(self, mu: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """log(mu^-1 g_i) over a stack g sharing one mu, raising where ``log`` raises."""
+        return self.log(left_multiply(np.linalg.inv(mu), g))
+
     # -- adjoint machinery --------------------------------------------------
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of the bracket action: ad(x) @ y == vee([wedge(x), wedge(y)])."""
@@ -252,6 +256,17 @@ class MatrixLieGroup:
         jinv, parts = self.left_jacobian_inv_partials(np.negative(x, dtype=float))
         return jinv, np.subtract(0.0, parts, out=parts)
 
+    def right_jacobian_inv_curvature(self, x: np.ndarray, hht: np.ndarray
+                                     ) -> tuple[np.ndarray, np.ndarray]:
+        """``(J_r^-1(x), (1/2) sum_k (dJ_r^-1/dx_k) hht J_r^-T e_k)``, the Ito curvature for
+        hht = H H^T, (N, N) or per state, contracted from the pair one k at a time."""
+        jri, parts = self.right_jacobian_inv_partials(x)
+        vk = np.einsum("...ij,...kj->...ki", hht, jri)     # row k: H H^T J_r^-T e_k
+        total = np.einsum("...ij,...j->...i", parts[0], vk[..., 0, :])
+        for k in range(1, len(parts)):
+            total += np.einsum("...ij,...j->...i", parts[k], vk[..., k, :])
+        return jri, 0.5 * total
+
     def _checked(self, J: np.ndarray) -> np.ndarray:
         det = np.linalg.det(J)
         if np.any(np.abs(det) < _DET_TOL):
@@ -269,6 +284,18 @@ class MatrixLieGroup:
                                     np.stack([self.exp(-e) for e in shifts]))
         plus, minus = self._stencils[step]
         return plus[i], minus[i]
+
+
+def left_multiply(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """a @ g_i over a stack g sharing one a as one GEMM, flat(g) @ kron(a, I)^T:
+    C-ordered and, the zeros of kron(a, I) adding +0, the stacked product bit for bit."""
+    g = np.asarray(g, float)
+    n = g.shape[-1]
+    if g.size < 256 * n * n:        # below about 256 elements the stacked product is faster
+        return a @ g
+    kron = np.asarray(a, float)[:, None, :, None] * np.eye(n)[None, :, None, :]
+    return (g.reshape(-1, n * n) @ kron.reshape(n * n, n * n).T).reshape(g.shape)
+
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))     # (k, i, j): SO(3) K_ij = -x_k, E_k[i, j] = -1
 
@@ -337,6 +364,16 @@ def _jinv_coef(t2: np.ndarray, theta: np.ndarray, radial: bool = False) -> tuple
     return _branches(theta < _JINV_SWITCH, theta, series, closed)
 
 
+def _log_coef(trace: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(coef, ok)`` with log(g) = coef vee(g - g^T) from tr g, ``ok`` false where
+    theta = arccos((tr g - 1) / 2) lies within 1e-9 of pi."""
+    theta = np.arccos(np.clip((trace - 1) / 2, -1.0, 1.0))
+    coef, = _branches(theta < _SMALL_ANGLE, theta,
+                      lambda: (0.5 * (1 + theta**2 / 6 + 7 * theta**4 / 360),),
+                      lambda s: (s / (2 * np.sin(s)),))
+    return coef, ~(theta > _LOG_SINGULARITY)
+
+
 class SO3(MatrixLieGroup):
     """Rotation group of R^3 in the cross-product basis.
 
@@ -389,18 +426,29 @@ class SO3(MatrixLieGroup):
         """``(log(g), ok)``, where ``ok`` is false and the row NaN for the
         elements whose rotation angle lies within 1e-9 of pi."""
         g = np.asarray(g, float)
-        trace = g[..., 0, 0] + g[..., 1, 1] + g[..., 2, 2]
-        theta = np.arccos(np.clip((trace - 1) / 2, -1.0, 1.0))
-        ok = ~(theta > _LOG_SINGULARITY)
-        coef, = _branches(theta < _SMALL_ANGLE, theta,
-                          lambda: (0.5 * (1 + theta**2 / 6 + 7 * theta**4 / 360),),
-                          lambda s: (s / (2 * np.sin(s)),))
+        coef, ok = _log_coef(g[..., 0, 0] + g[..., 1, 1] + g[..., 2, 2])
         x = np.empty(g.shape[:-1])
         for k, i, j in _CYCLIC:                                   # vee(g - g^T)
             np.multiply(coef, g[..., j, i] - g[..., i, j], out=x[..., k])
         if not ok.all():
             x[~ok] = np.nan
         return x, ok
+
+    def log_about(self, mu: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """tr and vee(. - .^T) of mu^-1 g_i, all that ``log`` reads, from one (4, 9) @ (9, S)
+        GEMM on g's rows, scaled as ``log_masked`` does; the transpose of a C-ordered (3, S)."""
+        g = np.asarray(g, float)
+        minv = np.linalg.inv(mu)
+        weights = np.zeros((4, 3, 3))            # weights[:, b, c] multiply g[..., b, c]
+        weights[0] = minv.T                      # tr(mu^-1 g) = sum_ab minv[a, b] g[b, a]
+        for k, i, j in _CYCLIC:                  # (mu^-1 g)[j, i] - (mu^-1 g)[i, j]
+            weights[1 + k, :, i] = minv[j]
+            weights[1 + k, :, j] = -minv[i]
+        parts = weights.reshape(4, 9) @ g.reshape(-1, 9).T
+        coef, ok = _log_coef(parts[0])
+        if not ok.all():
+            raise LieDomainError("rotation angle within 1e-9 of pi; logarithm singular")
+        return np.multiply(parts[1:], coef, out=parts[1:]).T.reshape(g.shape[:-1])
 
     ad = wedge
 
@@ -440,6 +488,25 @@ class SO3(MatrixLieGroup):
             sym = rk * off[k]           # then -E_k / 2; adding c * 0 first changes no bit
             np.add(sym, 0.5, out=o[..., i, j])
             np.subtract(sym, 0.5, out=o[..., j, i])
+        return _rodrigues_form(xs, t2, -0.5, c), out
+
+    def right_jacobian_inv_curvature(self, x: np.ndarray, hht: np.ndarray
+                                     ) -> tuple[np.ndarray, np.ndarray]:
+        """J_r^-1 is ``right_jacobian_inv``'s bit for bit.  For P = hht = P^T, M = P J_r^-T, the
+        curvature (1/2)[(c'/|x|) K^2 M x + c (x tr M + M^T x - 2 M x) + vee(M - M^T) / 2]
+        reduces, as K x = 0, to (1/2)[alpha x + beta y + c x cross y] with y = P x."""
+        x, hht = np.asarray(x, float), np.asarray(hht, float)
+        xs, t2, theta = _polar(np.negative(x))               # J_r^-1(x) = J_l^-1(-x)
+        c, radial = _jinv_coef(t2, theta, radial=True)
+        y = x @ hht.T if hht.ndim == 2 else np.einsum("...ij,...j->...i", hht, x)
+        xy, tr = np.einsum("...i,...i->...", x, y), np.trace(hht, axis1=-2, axis2=-1)
+        quad = radial + c * c
+        alpha = quad * xy + c * (tr + c * (xy - t2 * tr)) - 0.25 * tr     # (...) is tr M
+        beta = 0.25 - c - quad * t2
+        out = np.empty(y.shape)
+        for k, i, j in _CYCLIC:
+            out[..., k] = 0.5 * (alpha * x[..., k] + beta * y[..., k]
+                                 + c * (x[..., i] * y[..., j] - x[..., j] * y[..., i]))
         return _rodrigues_form(xs, t2, -0.5, c), out
 
 

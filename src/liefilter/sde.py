@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainExitError
-from .groups import MatrixLieGroup, lie_derivative_right
+from .groups import MatrixLieGroup, left_multiply, lie_derivative_right
 
 ITO = "ito"
 STRATONOVICH = "stratonovich"
@@ -168,35 +168,25 @@ def sample_parametric_path(group: MatrixLieGroup, model: ParametricSdeModel,
     return out if store_path else x
 
 
-def _ito_curvature(jri: np.ndarray, parts: np.ndarray, hht: np.ndarray) -> np.ndarray:
-    """Ito curvature term (1/2) sum_k (dJ_r^-1/dx_k) H H^T J_r^-T e_k, given
-    the pair ``(jri, parts)`` of ``right_jacobian_inv_partials``, summed one
-    component k at a time."""
-    vk = np.einsum("...ij,...kj->...ki", hht, jri)     # row k: H H^T J_r^-T e_k
-    total = _mv(parts[0], vk[..., 0, :])
-    for k in range(1, len(parts)):
-        total += _mv(parts[k], vk[..., k, :])
-    return 0.5 * total
-
-
 def _chart_coefficients(group: MatrixLieGroup, model: SdeModel, mu: np.ndarray,
                         x: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chart coefficients ``(a, B, J_r^-1)`` of an injection SDE at the chart
     points x around mu, from one exp, one drift and one diffusion call on
-    g = mu exp(x): B = J_r^-1 H, and a = J_r^-1 h for a Stratonovich model
-    (J_r^-1 alone); an Ito model adds, from one (J_r^-1, dJ_r^-1) pair,
-    (1/2) (d J_r^-1/dx_k) H H^T J_r^-T e_k, summed over k."""
+    g = mu exp(x), one GEMM on the rows of exp(x) (:func:`left_multiply`):
+    B = J_r^-1 H, and a = J_r^-1 h for a Stratonovich model (J_r^-1 alone);
+    an Ito model adds (1/2) (d J_r^-1/dx_k) H H^T J_r^-T e_k, summed over k,
+    from ``right_jacobian_inv_curvature``."""
     x = np.asarray(x, float)
-    g = mu @ group.exp(x)
+    g = left_multiply(mu, group.exp(x))
     h = np.asarray(model.drift(g, t), float)
     big = np.asarray(model.diffusion(g, t), float)
-    del g                      # freed before the partials: lower peak memory
+    del g                      # freed before the Jacobians: lower peak memory
     if model.interpretation == STRATONOVICH:
         jri = group.right_jacobian_inv(x)
         a = _mv(jri, h)
     else:
-        jri, parts = group.right_jacobian_inv_partials(x)
-        a = _mv(jri, h) + _ito_curvature(jri, parts, big @ np.swapaxes(big, -1, -2))
+        jri, curvature = group.right_jacobian_inv_curvature(x, big @ np.swapaxes(big, -1, -2))
+        a = _mv(jri, h) + curvature
     # A shared (N, N) H: one product on the stack's rows, the stacked product bit for bit.
     b = jri @ big if big.ndim > 2 else (jri.reshape(-1, len(big)) @ big).reshape(jri.shape)
     return a, b, jri
@@ -218,7 +208,8 @@ def stratonovich_to_ito(group: MatrixLieGroup, model: SdeModel) -> SdeModel:
     """Equivalent Ito drift for a Stratonovich injection SDE.
 
     h = h_s + (1/2) E_i^r(H_s[k, j]) H_s[i, j] e_k with the right derivatives
-    taken by central differences (step 1e-5), all N in one stencil call.
+    taken by central differences (step 1e-5), all N in one stencil call, or
+    +0 with no stencil for one (N, N) diffusion shared by a stack of states.
     """
     if model.interpretation != STRATONOVICH:
         raise ValueError("stratonovich_to_ito requires a Stratonovich model")
@@ -227,6 +218,8 @@ def stratonovich_to_ito(group: MatrixLieGroup, model: SdeModel) -> SdeModel:
         g = np.asarray(g, float)
         hs = np.asarray(model.drift(g, t), float)
         big = np.asarray(model.diffusion(g, t), float)
+        if big.ndim == 2 and g.ndim > 2:
+            return hs + 0.0
         derivs = np.broadcast_to(       # derivs[i] = E_i^r H; (N, N) for a constant H
             lie_derivative_right(group, lambda h: model.diffusion(h, t), g, np.arange(group.dim)),
             (group.dim,) + big.shape)

@@ -22,7 +22,7 @@ from liefilter.errors import (
     NonConcentratedWarning,
     RejectionOverflowError,
 )
-from liefilter.groups import SO3
+from liefilter.groups import SO3, _log_coef
 
 from conftest import assert_bitwise
 
@@ -193,14 +193,27 @@ def test_group_mean_residual_certificate(so3):
     assert np.linalg.norm(logs.mean(axis=0)) < 1e-12
 
 
-def _group_mean_stacked(group, samples, tol=1e-12, max_iter=100):
-    """The fitting-formula iteration with one stacked inv(mu) @ samples per
-    iteration."""
+def _so3_logs_about(mu, samples):
+    """log(mu^-1 g_i) transcribed from the definitions: tr(mu^-1 g) and
+    vee(mu^-1 g - (mu^-1 g)^T) are linear in g's entries, with the weights of
+    entry (b, c) read off mu^-1 E_bc; one GEMM, then log_masked's tail."""
+    units = np.linalg.inv(mu) @ np.eye(9).reshape(9, 3, 3)          # mu^-1 E_bc
+    skew = units - np.swapaxes(units, -1, -2)
+    weights = np.stack([np.trace(units, axis1=-2, axis2=-1),
+                        skew[:, 2, 1], skew[:, 0, 2], skew[:, 1, 0]])
+    parts = weights @ np.ascontiguousarray(samples).reshape(-1, 9).T
+    coef, ok = _log_coef(parts[0])
+    assert ok.all()
+    return (parts[1:] * coef).T
+
+
+def _group_mean_stacked(group, samples, logs_about, tol=1e-12, max_iter=100):
+    """The fitting-formula iteration on the logs ``logs_about(mu, samples)``."""
     mu = samples[0].copy()
     weights = np.full(len(samples), 1.0 / len(samples))
     ad_basis = group.ad(np.eye(group.dim))
     for it in range(1, max_iter + 1):
-        logs = group.log(np.linalg.inv(mu) @ samples)
+        logs = logs_about(mu, samples)
         r = weights @ logs
         residual = float(np.linalg.norm(r))
         mu = mu @ group.exp(_corrected_mean(ad_basis, r, (logs.T * weights) @ logs))
@@ -214,11 +227,12 @@ def test_group_mean_matches_stacked_products_bitwise(so3, diag3):
     rot = sample(so3, ConcentratedGaussian(so3.exp(np.array([0.4, -0.2, 0.9])),
                                            0.05 * np.eye(3)), 2_000, seed=8)
     strided = np.swapaxes(np.ascontiguousarray(np.swapaxes(rot, -1, -2)), -1, -2)[::3]
-    cases = [(so3, rot), (so3, strided),
-             (diag3, diag3.exp(rng.standard_normal((500, 3)) * 0.3))]
-    for group, samples in cases:
+    stacked_log = lambda mu, g: diag3.log(np.linalg.inv(mu) @ g)
+    cases = [(so3, rot, _so3_logs_about), (so3, strided, _so3_logs_about),
+             (diag3, diag3.exp(rng.standard_normal((500, 3)) * 0.3), stacked_log)]
+    for group, samples, logs_about in cases:
         res = empirical_group_mean(group, samples)
-        mu, residual, it = _group_mean_stacked(group, samples)
+        mu, residual, it = _group_mean_stacked(group, samples, logs_about)
         assert_bitwise(res.mean, mu)
         assert res.residual == residual and res.iterations == it
 

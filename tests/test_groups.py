@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liefilter import groups
+from liefilter.distribution import expectation_nodes
 from liefilter.errors import LieDomainError, SingularJacobianError
 from liefilter.groups import (
     SO3,
@@ -530,6 +531,73 @@ def test_so3_one_vector_equals_its_row_of_a_batch(so3):
         fn = getattr(so3, name)
         batch = fn(xs)
         assert all(np.array_equal(fn(x), row) for x, row in zip(xs, batch)), name
+
+
+# -- contractions on a stack sharing one mean ---------------------------------------
+
+def test_so3_log_about_matches_the_stacked_log(so3):
+    # Trace and skew part from one GEMM on the rows of g, then log_masked's
+    # tail: the round trip is as accurate as log_masked(inv(mu) @ g)'s at
+    # every angle, on both Taylor switches and up to item 2's pi - 1e-6.
+    rng = np.random.default_rng(73)
+    mu = so3.exp(np.array([0.4, -0.2, 0.9]))
+    for theta in (1e-6, 9e-5, 1e-3, 0.3, 1.0, 2.0, 3.0, np.pi - 1e-6):
+        d = rng.standard_normal((10_000, 3))
+        x = d / np.linalg.norm(d, axis=1, keepdims=True) * theta
+        g = mu @ so3.exp(x)
+        about = so3.log_about(mu, g)
+        stacked, ok = so3.log_masked(np.linalg.inv(mu) @ g)
+        assert ok.all() and about.shape == x.shape
+        err = np.linalg.norm(about - x, axis=1).max()
+        assert err <= 1.5 * np.linalg.norm(stacked - x, axis=1).max(), theta
+        if 0.3 <= theta <= 2.0:
+            assert np.abs(about - stacked).max() <= 1e-15 * theta
+    strided = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)[::3]
+    assert_bitwise(so3.log_about(mu, strided), so3.log_about(mu, g[::3]))
+    near_pi = so3.exp(np.array([[0.1, 0.2, 0.3], [0.0, 0.6, 0.8]]) * [[1.0], [np.pi - 1e-10]])
+    assert so3.log_masked(near_pi)[1].tolist() == [True, False]
+    with pytest.raises(LieDomainError):
+        so3.log_about(np.eye(3), near_pi)
+
+
+def test_left_multiply_is_the_stacked_product_bitwise(so3, se3, diag3):
+    # kron(a, I)'s zeros add +0 to each of the n-term sums, so one GEMM on
+    # the rows of g gives every product a @ g_i bit for bit; the 12 SE(3)
+    # cubature nodes of a pose step take the stacked product itself.
+    rng = np.random.default_rng(79)
+    root6 = rng.standard_normal((6, 6)) * 0.3
+    cases = ((so3, rng.standard_normal((10_000, 3)) * 0.8),
+             (se3, expectation_nodes(np.zeros(6), root6 @ root6.T)),
+             (se3, rng.standard_normal((1_000, 6)) * 0.5),
+             (diag3, rng.standard_normal((500, 3)) * 0.3))
+    for group, x in cases:
+        a = group.exp(rng.standard_normal(group.dim) * 0.5)
+        g = group.exp(x)
+        assert_bitwise(groups.left_multiply(a, g), a @ g)
+        assert_bitwise(groups.left_multiply(np.linalg.inv(a), g), np.linalg.inv(a) @ g)
+        if group is diag3:       # the generic log_about is the stacked log bit for bit
+            assert_bitwise(group.log_about(a, g), group.log(np.linalg.inv(a) @ g))
+
+
+def test_so3_ito_curvature_closed_form_matches_the_pair(so3):
+    # The closed form against the contraction of the (J_r^-1, dJ_r^-1) pair,
+    # on both branches of the inverse-Jacobian coefficient (switch 0.5), for
+    # a shared and a per-state H H^T; J_r^-1 is right_jacobian_inv's.
+    rng = np.random.default_rng(83)
+    big = rng.standard_normal((3, 3)) * 0.2
+    for lo, hi in ((0.1, 0.45), (0.6, 2.5)):
+        d = rng.standard_normal((2_000, 3))
+        x = d / np.linalg.norm(d, axis=1, keepdims=True) * rng.uniform(lo, hi, (2_000, 1))
+        per_row = big * (1.0 + x[:, :, None])
+        for hht in (big @ big.T, per_row @ np.swapaxes(per_row, -1, -2)):
+            jri, curvature = so3.right_jacobian_inv_curvature(x, hht)
+            assert_bitwise(jri, so3.right_jacobian_inv(x))
+            want = groups.MatrixLieGroup.right_jacobian_inv_curvature(so3, x, hht)[1]
+            assert np.abs(curvature - want).max() <= 2e-15 * np.abs(want).max()
+    one = so3.right_jacobian_inv_curvature(x[0], big @ big.T)
+    assert_bitwise(one[0], so3.right_jacobian_inv(x[0]))
+    assert np.abs(one[1] - so3.right_jacobian_inv_curvature(x[:1], big @ big.T)[1][0]).max() \
+        <= 1e-16
 
 
 # -- ad operator ---------------------------------------------------------------

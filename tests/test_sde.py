@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liefilter import sde
 from liefilter.distribution import expectation_nodes
 from liefilter.errors import DomainExitError
 from liefilter.sde import (
@@ -16,11 +17,10 @@ from liefilter.sde import (
     stratonovich_injection_to_parametric,
     stratonovich_to_ito,
     _chart_coefficients,
-    _ito_curvature,
     _mv,
     wiener_halves,
 )
-from liefilter.groups import SO3, lie_derivative_right
+from liefilter.groups import SO3, MatrixLieGroup, lie_derivative_right
 
 from conftest import assert_bitwise
 
@@ -207,7 +207,7 @@ def _counting_so3():
     """A fresh SO3 whose exp and right-Jacobian methods count their calls."""
     group, calls = SO3(), {}
     for name in ("exp", "right_jacobian", "right_jacobian_inv",
-                 "right_jacobian_inv_partials"):
+                 "right_jacobian_inv_partials", "right_jacobian_inv_curvature"):
         def counted(*args, _name=name, _method=getattr(group, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _method(*args)
@@ -217,13 +217,14 @@ def _counting_so3():
 
 @pytest.mark.parametrize("interpretation, convert, per_step", [
     (ITO, ito_injection_to_parametric,
-     {"exp": 1, "right_jacobian_inv_partials": 1}),
+     {"exp": 1, "right_jacobian_inv_curvature": 1}),
     (STRATONOVICH, stratonovich_injection_to_parametric,
      {"exp": 2, "right_jacobian_inv": 2}),
 ])
 def test_chart_step_evaluates_each_jacobian_once(interpretation, convert, per_step):
     # The sampler applies no Jacobian; the converted coefficients evaluate
-    # the exp and the Jacobian (or the pair) once per coefficient call.
+    # the exp and the Jacobian (or the Jacobian with the Ito curvature) once
+    # per coefficient call, and never the partials.
     group, calls = _counting_so3()
     model = SdeModel(const(np.array([0.3, -0.2, 0.1])), const(0.2 * np.eye(3)),
                      interpretation)
@@ -280,8 +281,9 @@ def test_injection_drift_correction_matches_fd_assembly(so3, big_h):
 
 
 def test_ito_curvature_matches_single_contraction_bitwise(so3, se3):
-    # Summed one component at a time, the curvature must equal the single
-    # four-index contraction bit for bit.
+    # Summed one component at a time, the generic curvature (the base-class
+    # method, on SO(3)'s pair too) must equal the single four-index
+    # contraction bit for bit.
     def contraction(jri, parts, hht):
         vk = np.einsum("...ij,...kj->...ki", hht, jri)
         return 0.5 * np.einsum("k...ij,...kj->...i", parts, vk)
@@ -296,7 +298,8 @@ def test_ito_curvature_matches_single_contraction_bitwise(so3, se3):
         pair = group.right_jacobian_inv_partials(x)
         per_row = big * x[:, :, None]                   # a state-dependent H
         for hht in (big @ big.T, per_row @ np.swapaxes(per_row, -1, -2)):
-            assert_bitwise(_ito_curvature(*pair, hht), contraction(*pair, hht))
+            summed = MatrixLieGroup.right_jacobian_inv_curvature(group, x, hht)[1]
+            assert_bitwise(summed, contraction(*pair, hht))
 
 
 @pytest.mark.parametrize("interpretation", [ITO, STRATONOVICH])
@@ -399,6 +402,21 @@ def test_stratonovich_to_ito_makes_one_stencil_call(request, case):
             assert calls == ([g.shape, (dim,) + g.shape, (dim,) + g.shape]
                              if big_h is diffusion else [])
             assert_bitwise(got, per_direction(model, g, 0.2))
+
+
+def test_stratonovich_to_ito_shared_diffusion_skips_the_stencil(so3, monkeypatch):
+    # One (N, N) diffusion for a stack of states is shared by all of them, so
+    # its right derivatives are +0: one diffusion call and no stencil.
+    stencils, calls = [], []
+    monkeypatch.setattr(sde, "lie_derivative_right",
+                        lambda *args, **kw: stencils.append(1) or lie_derivative_right(*args, **kw))
+    big = np.array([[0.2, 0.05, 0.0], [0.0, 0.18, 0.04], [0.02, 0.0, 0.15]])
+    h = np.array([0.3, -0.2, 0.0])
+    ito = stratonovich_to_ito(so3, SdeModel(const(h), lambda g, t: calls.append(1) or big,
+                                            STRATONOVICH))
+    g = so3.exp(np.random.default_rng(89).standard_normal((10_000, 3)) * 0.3)
+    assert_bitwise(ito.drift(g, 0.1), h + 0.0)
+    assert len(calls) == 1 and not stencils
 
 
 def test_stratonovich_injection_transfer_is_jr_inv_h_and_jr_inv_big_h(so3):
