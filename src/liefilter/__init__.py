@@ -2,7 +2,6 @@
 
 from .distribution import (
     ConcentratedGaussian,
-    ExpectationConfig,
     MeanResult,
     empirical_covariance,
     empirical_group_mean,

@@ -1,14 +1,12 @@
 """Concentrated Gaussians on a group and their moment machinery.
 
 A concentrated Gaussian is the pushforward of x ~ N(0, cov) through
-g = mean @ exp(x).  Expectations over chart coordinates are evaluated either
-with the 2N-point spherical cubature rule (deterministic, exact to degree 3)
-or with seeded Monte Carlo, selected by :class:`ExpectationConfig`.
+g = mean @ exp(x).  Expectations over chart coordinates are evaluated with
+the 2N-point spherical cubature rule (deterministic, exact to degree 3).
 """
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -31,21 +29,6 @@ class ConcentratedGaussian:
 
     mean: np.ndarray
     cov: np.ndarray
-
-
-@dataclass(frozen=True)
-class ExpectationConfig:
-    method: str = "cubature"          # "cubature" | "monte-carlo"
-    sample_count: int = 100_000       # Monte Carlo only
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.method not in ("cubature", "monte-carlo"):
-            raise ValueError(f"unknown expectation method {self.method!r}")
-        if not isinstance(self.sample_count, numbers.Integral) or self.sample_count < 1:
-            raise ValueError("sample_count must be an integer >= 1")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError("seed must be an integer >= 0")
 
 
 def symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -73,16 +56,11 @@ def sqrt_psd(cov: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-def expectation_nodes(mean: np.ndarray, cov: np.ndarray,
-                      cfg: ExpectationConfig | None = None) -> np.ndarray:
-    """Equal-weight nodes of N(mean, cov): 2N spherical-cubature nodes or Monte Carlo draws."""
-    cfg = cfg or ExpectationConfig()
+def expectation_nodes(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The 2N equal-weight spherical-cubature nodes of N(mean, cov)."""
     mean = np.asarray(mean, float)
-    if cfg.method == "cubature":
-        offsets = np.sqrt(mean.shape[-1]) * sqrt_psd(cov).T
-        return np.concatenate([mean + offsets, mean - offsets], axis=0)
-    z = np.random.default_rng(cfg.seed).standard_normal((cfg.sample_count, mean.shape[-1]))
-    return mean + z @ sqrt_psd(cov).T
+    offsets = np.sqrt(mean.shape[-1]) * sqrt_psd(cov).T
+    return np.concatenate([mean + offsets, mean - offsets], axis=0)
 
 
 def _check_rejections(rejected: int, kept: int) -> None:
@@ -224,8 +202,7 @@ def _fitting_terms(jli: np.ndarray, nodes: np.ndarray, m: np.ndarray
 
 
 def fit_mean_covariance(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray,
-                        mu: np.ndarray, cfg: ExpectationConfig | None = None
-                        ) -> ConcentratedGaussian:
+                        mu: np.ndarray) -> ConcentratedGaussian:
     """Move first/second moments on the chart to group mean and covariance.
 
     Given x with mean m and covariance cov, the group mean of mu @ exp(x) is
@@ -241,7 +218,7 @@ def fit_mean_covariance(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray,
             "chart moments exceed the concentrated-distribution threshold 0.5; "
             "the fitted mean/covariance may be inaccurate",
             NonConcentratedWarning, stacklevel=2)
-    nodes = expectation_nodes(np.zeros(group.dim), cov, cfg)
+    nodes = expectation_nodes(np.zeros(group.dim), cov)
     m_prime, cross = _fitting_terms(group.left_jacobian_inv(nodes), nodes, m)
     cov_m = cov - (cross + cross.T)
     return ConcentratedGaussian(mu @ group.exp(m_prime), project_psd(cov_m))

@@ -27,7 +27,6 @@ import numpy as np
 
 from .distribution import (
     ConcentratedGaussian,
-    ExpectationConfig,
     _corrected_mean,
     expectation_nodes,
     project_psd,
@@ -37,7 +36,6 @@ from .errors import InnovationSingularError
 from .groups import MatrixLieGroup, lie_derivative_right, lie_derivative_right_second
 
 _COND_LIMIT = 1e12
-_DERIVATIVE_STEP = 1e-5
 
 
 @dataclass
@@ -92,9 +90,7 @@ def _gain_update(P: np.ndarray, S: np.ndarray, C: np.ndarray, innovation: np.nda
 def gaussian_update_general(group: MatrixLieGroup,
                             prior: ConcentratedGaussian,
                             obs: ObservationModelEuclidean | ObservationModelGroup,
-                            observation,
-                            cfg: ExpectationConfig | None = None
-                            ) -> PosteriorCoordinates:
+                            observation) -> PosteriorCoordinates:
     """Gaussian-filter update on chart coordinates by joint cubature.
 
     Expectations run over the product Gaussian N(x|0, P) N(r|0, R) in
@@ -103,14 +99,13 @@ def gaussian_update_general(group: MatrixLieGroup,
     elements.  ``fit_mean_covariance(group, post.m, post.cov, prior.mean)``
     maps the result to the group.
     """
-    cfg = cfg or ExpectationConfig()
     P = symmetrize(np.asarray(prior.cov, float))
     R = symmetrize(np.asarray(obs.noise_cov, float))
     n, m_dim = P.shape[0], R.shape[0]
     joint = np.zeros((n + m_dim, n + m_dim))
     joint[:n, :n] = P
     joint[n:, n:] = R
-    nodes = expectation_nodes(np.zeros(n + m_dim), joint, cfg)
+    nodes = expectation_nodes(np.zeros(n + m_dim), joint)
     xs, rs = nodes[:, :n], nodes[:, n:]
     mu = np.asarray(prior.mean, float)
 
@@ -168,9 +163,9 @@ def _linearize(group: MatrixLieGroup, func: Callable[[np.ndarray], np.ndarray],
     observations sharing a prior can share it."""
     dim, axis = group.dim, np.arange(group.dim)
     k_mu = np.asarray(func(mu), float)
-    slopes = lie_derivative_right(group, func, mu, axis, _DERIVATIVE_STEP).T  # (M, N)
+    slopes = lie_derivative_right(group, func, mu, axis).T      # (M, N)
     second = lie_derivative_right_second(group, func, mu, np.repeat(axis, dim),
-                                         np.tile(axis, dim), _DERIVATIVE_STEP)
+                                         np.tile(axis, dim))
     if second.shape != (dim * dim,) + k_mu.shape:
         raise ValueError(f"the observation map gave shape {second.shape} for "
                          f"{dim * dim} stacked group elements, not "
@@ -252,17 +247,20 @@ def _costs(errors: np.ndarray, ok: np.ndarray | None = None) -> tuple[np.ndarray
     return c1, c2
 
 
+def _chart_errors(group: MatrixLieGroup, truths: np.ndarray,
+                  estimates: np.ndarray) -> np.ndarray:
+    """log(truth^-1 estimate) over (truth, estimate) pairs."""
+    return group.log(np.linalg.inv(np.asarray(truths, float))
+                     @ np.asarray(estimates, float))
+
+
 def cost_c1(group: MatrixLieGroup, truths: np.ndarray,
             estimates: np.ndarray) -> float:
     """Squared norm of the mean chart error over (truth, estimate) pairs: c1 of :func:`_costs`."""
-    logs = group.log(np.linalg.inv(np.asarray(truths, float))
-                     @ np.asarray(estimates, float))
-    return float(_costs(logs)[0])
+    return float(_costs(_chart_errors(group, truths, estimates))[0])
 
 
 def cost_c2(group: MatrixLieGroup, truths: np.ndarray,
             estimates: np.ndarray) -> float:
     """Mean squared chart error over (truth, estimate) pairs: c2 of :func:`_costs`."""
-    logs = group.log(np.linalg.inv(np.asarray(truths, float))
-                     @ np.asarray(estimates, float))
-    return float(_costs(logs)[1])
+    return float(_costs(_chart_errors(group, truths, estimates))[1])

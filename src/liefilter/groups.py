@@ -37,7 +37,7 @@ grow with log2 of the term count; J_l is inverted once and dJ_l^-1 =
 scaled series (13 terms at r = 0.25) a power stack saves no time.
 
 All operations are pure functions of their inputs and safe to call from
-concurrent threads; the only internal state is a cache of one-parameter
+concurrent threads; the only internal state is the pair of one-parameter
 subgroup stencils and a table of series weights, both idempotent.
 """
 
@@ -53,6 +53,8 @@ _SMALL_ANGLE = 1e-4
 _LOG_SINGULARITY = np.pi - 1e-9
 _DET_TOL = 1e-12
 _LOG_SERIES_TOL = log(1e-17)
+_DERIVATIVE_STEP = 1e-5         # central-difference step of the Lie derivative stencils
+_UNIMODULAR_TOL = 1e-12         # |tr ad(E_i)| allowed, relative to the largest structure constant
 
 
 def _last_term(log_norm: float, shift: int, log_scale: float = 0.0) -> int:
@@ -108,6 +110,9 @@ class MatrixLieGroup:
         of tangent coordinates with algebra matrices.
     name : str
         Human-readable tag used in error messages.
+
+    Raises ``ValueError`` for a dependent basis, and for a basis of a group
+    that is not unimodular (some tr ad(E_i) beyond rounding).
     """
 
     def __init__(self, basis: np.ndarray, name: str = "matrix-group"):
@@ -127,7 +132,12 @@ class MatrixLieGroup:
         brackets = brackets - np.einsum("jab,ibc->ijac", basis, basis)
         veed = brackets.reshape(self.dim, self.dim, -1) @ self._vee_map  # (i, j, k)
         self._struct = np.moveaxis(veed, 2, 1)
-        self._stencils: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        # the moment formulas assume a unimodular group, tr ad(E_i) = 0; the
+        # structure constants are read back through vee, so allow rounding
+        traces = np.trace(self._struct, axis1=1, axis2=2)
+        if np.any(np.abs(traces) > _UNIMODULAR_TOL * np.abs(self._struct).max()):
+            raise ValueError(f"{name} is not unimodular: tr ad(E_i) = {traces}")
+        self._stencils: tuple[np.ndarray, np.ndarray] | None = None
         self._series: tuple[np.ndarray, ...] | None = None
 
     # -- wedge / vee -------------------------------------------------------
@@ -274,15 +284,16 @@ class MatrixLieGroup:
         return J
 
     # -- one-parameter subgroup stencils (cached) ----------------------------
-    def _stencil(self, i, step: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(exp(step E_i), exp(-step E_i))`` for an integer or integer array
-        ``i``, indexed from the step's cached stacks over every direction,
-        (N, n, n) each; every direction is its own ``exp`` call."""
-        if step not in self._stencils:
-            shifts = np.diag(np.full(self.dim, float(step)))
-            self._stencils[step] = (np.stack([self.exp(e) for e in shifts]),
-                                    np.stack([self.exp(-e) for e in shifts]))
-        plus, minus = self._stencils[step]
+    def _stencil(self, i) -> tuple[np.ndarray, np.ndarray]:
+        """``(exp(s E_i), exp(-s E_i))``, s the derivative step, for an integer
+        or integer array ``i``, indexed from the stacks over every direction,
+        (N, n, n) each, built at the first call; every direction is its own
+        ``exp`` call."""
+        if self._stencils is None:
+            shifts = np.diag(np.full(self.dim, _DERIVATIVE_STEP))
+            self._stencils = (np.stack([self.exp(e) for e in shifts]),
+                              np.stack([self.exp(-e) for e in shifts]))
+        plus, minus = self._stencils
         return plus[i], minus[i]
 
 
@@ -356,10 +367,11 @@ def _jinv_coef(t2: np.ndarray, theta: np.ndarray, radial: bool = False) -> tuple
 
     def closed(safe):
         half = safe / 2
-        c = (1 - half * np.cos(half) / np.sin(half)) / (4 * half * half)
+        s = np.sin(half)
+        c = (1 - half * np.cos(half) / s) / (4 * half * half)
         if not radial:
             return (c,)
-        s, inv2 = np.sin(half), 1 / (safe * safe)
+        inv2 = 1 / (safe * safe)
         return c, (0.25 / (s * s) - inv2 - c) * inv2
     return _branches(theta < _JINV_SWITCH, theta, series, closed)
 
@@ -544,36 +556,35 @@ class DiagonalGroup(MatrixLieGroup):
 
 # -- Lie directional derivatives --------------------------------------------
 
-def lie_derivative_right(group: MatrixLieGroup, f, g: np.ndarray, i,
-                         step: float = 1e-5):
-    """Central-difference derivative of f along t -> f(g exp(t E_i)) at t=0.
+def lie_derivative_right(group: MatrixLieGroup, f, g: np.ndarray, i):
+    """Central-difference derivative of f along t -> f(g exp(t E_i)) at t=0,
+    with step 1e-5.
 
     A stack of g is shifted by one matrix product on its rows, which is the
     stacked product bit for bit at a fraction of its per-element cost.  An
     integer array ``i`` hands f the stacks of shape ``np.shape(i) + g.shape``,
     each element the scalar-index product bit for bit."""
-    plus, minus = group._stencil(i, step)
+    plus, minus = group._stencil(i)
     g = np.asarray(g, float)
     rows, shape = g.reshape(-1, g.shape[-1]), np.shape(i) + g.shape
     return (np.asarray(f((rows @ plus).reshape(shape)))
-            - np.asarray(f((rows @ minus).reshape(shape)))) / (2 * step)
+            - np.asarray(f((rows @ minus).reshape(shape)))) / (2 * _DERIVATIVE_STEP)
 
 
-def lie_derivative_right_second(group: MatrixLieGroup, f, g: np.ndarray,
-                                i, j, step: float = 1e-5):
-    """Nested central-difference stencil for the iterated right derivative
-    E_i^r E_j^r f at g.
+def lie_derivative_right_second(group: MatrixLieGroup, f, g: np.ndarray, i, j):
+    """Nested central-difference stencil, step 1e-5, for the iterated right
+    derivative E_i^r E_j^r f at g.
 
     ``i`` and ``j`` may be integer arrays that broadcast against each other
     (and against g's stack axes); the four calls of f then take the stacks
     g exp(+-s E_i) exp(+-s E_j), each element the per-pair product bit for
     bit.  With scalar indices f gets g's own shape."""
-    pi, mi = group._stencil(i, step)
-    pj, mj = group._stencil(j, step)
+    pi, mi = group._stencil(i)
+    pj, mj = group._stencil(j)
     gp, gm = g @ pi, g @ mi
     val = (np.asarray(f(gp @ pj)) - np.asarray(f(gp @ mj))
            - np.asarray(f(gm @ pj)) + np.asarray(f(gm @ mj)))
-    return val / (4 * step * step)
+    return val / (4 * _DERIVATIVE_STEP * _DERIVATIVE_STEP)
 
 
 # -- chart-perturbation expansion and truncated BCH ---------------------------

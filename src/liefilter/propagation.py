@@ -10,12 +10,11 @@ is the only error source in that regime.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import (
-    ExpectationConfig,
     _fitting_terms,
     expectation_nodes,
     project_psd,
@@ -42,7 +41,6 @@ class PropagationState:
 class PropagationConfig:
     dt: float = 1e-2
     integrator: str = "rk4"          # "rk4" | "euler"
-    expectation: ExpectationConfig = field(default_factory=ExpectationConfig)
 
     def __post_init__(self):
         if not self.dt > 0 or not np.isfinite(self.dt):
@@ -51,8 +49,8 @@ class PropagationConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
-def moment_velocities(group: MatrixLieGroup, state: PropagationState, model: SdeModel,
-                      cfg: PropagationConfig) -> tuple[np.ndarray, np.ndarray]:
+def moment_velocities(group: MatrixLieGroup, state: PropagationState, model: SdeModel
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance velocities ``(v, dcov)``: the fitting formula applied
     to the chart SDE dx = a dt + B dW of the coordinate process around the mean.
 
@@ -64,7 +62,7 @@ def moment_velocities(group: MatrixLieGroup, state: PropagationState, model: Sde
     """
     if model.interpretation == STRATONOVICH:
         model = stratonovich_to_ito(group, model)
-    pts = expectation_nodes(np.zeros(group.dim), state.cov, cfg.expectation)
+    pts = expectation_nodes(np.zeros(group.dim), state.cov)
     drift, big, jri = _chart_coefficients(group, model, state.mean, pts, state.t)
     jli = jri - group.ad(pts)       # J_l^-1(x) = J_r^-1(x) - ad(x): no second series
     v, cross = _fitting_terms(jli, pts, drift.mean(axis=0))
@@ -100,12 +98,12 @@ def propagate(group: MatrixLieGroup, state0: PropagationState, model: SdeModel,
     stages = _STAGES[cfg.integrator]
     weight = 1 + sum(w for _, w in stages)
     for _ in range(steps):
-        v, s = moment_velocities(group, PropagationState(mu, cov, t), model, cfg)
+        v, s = moment_velocities(group, PropagationState(mu, cov, t), model)
         dmu, dcov, vel = v, s, v        # stage 1: J_r(0) = I, so its chart velocity is v
         for c, w in stages:
             q = vel * dt * c
             stage = PropagationState(mu @ group.exp(q), cov + s * dt * c, t + dt * c)
-            v, s = moment_velocities(group, stage, model, cfg)
+            v, s = moment_velocities(group, stage, model)
             vel = np.linalg.solve(group.right_jacobian(q), v)
             dmu, dcov = dmu + w * vel, dcov + w * s
         dmu, dcov = dmu * dt / weight, dcov * dt / weight

@@ -5,7 +5,6 @@ import pytest
 
 from liefilter.distribution import (
     ConcentratedGaussian,
-    ExpectationConfig,
     _check_rejections,
     _corrected_mean,
     empirical_covariance,
@@ -59,9 +58,8 @@ def test_expect_outer_product_recovers_cov():
 def test_expect_cubature_close_to_monte_carlo(so3):
     cov = 0.01 * np.eye(3)
     cub = so3.left_jacobian_inv(expectation_nodes(np.zeros(3), cov)).mean(axis=0)
-    mc = so3.left_jacobian_inv(expectation_nodes(
-        np.zeros(3), cov,
-        ExpectationConfig(method="monte-carlo", sample_count=10**6, seed=0))).mean(axis=0)
+    draws = np.random.default_rng(0).standard_normal((10**6, 3)) @ sqrt_psd(cov).T
+    mc = so3.left_jacobian_inv(draws).mean(axis=0)
     assert np.abs(cub - mc).max() < 1e-3
 
 
@@ -96,22 +94,6 @@ def test_sqrt_psd_stack_equals_per_matrix_calls():
     bad = np.stack([1e9 * np.eye(2), np.diag([1.0, -1e-2])])
     with pytest.raises(CholeskyFailureError):
         sqrt_psd(bad)
-
-
-def test_expect_unknown_method():
-    with pytest.raises(ValueError):
-        expectation_nodes(np.zeros(2), np.eye(2), ExpectationConfig(method="sobol")).mean(axis=0)
-
-
-@pytest.mark.parametrize("args", [("sobol",), ("monte-carlo", 0, 1), ("monte-carlo", -5),
-                                  ("monte-carlo", 2.5), ("cubature", 0),
-                                  ("monte-carlo", 10, -1), ("monte-carlo", 10, 0.5)])
-def test_expectation_config_rejects_what_expectation_nodes_cannot_use(args):
-    """An unknown method, a sample count below one or a seed that is not a
-    non-negative integer fails where the config is built, not later inside an
-    eigensolver or the random generator."""
-    with pytest.raises(ValueError):
-        ExpectationConfig(*args)
 
 
 # -- sampling -------------------------------------------------------------------
@@ -380,10 +362,8 @@ def test_fit_evaluates_the_inverse_jacobian_once():
 
     group.left_jacobian_inv = counting
     cov = np.diag([0.02, 0.03, 0.01])
-    for cfg in (ExpectationConfig(), ExpectationConfig("monte-carlo", 1000, 3)):
-        calls.clear()
-        fit_mean_covariance(group, np.array([0.05, -0.02, 0.01]), cov, np.eye(3), cfg)
-        assert len(calls) == 1
+    fit_mean_covariance(group, np.array([0.05, -0.02, 0.01]), cov, np.eye(3))
+    assert len(calls) == 1
 
 
 def test_fit_warns_outside_concentrated_regime(so3):

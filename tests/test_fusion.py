@@ -562,13 +562,13 @@ def test_singular_innovation_in_a_stack_names_its_index(so3):
 
 # -- linearization -------------------------------------------------------------------
 
-def per_pair_linearization(group, func, mu, P, step=1e-5):
+def per_pair_linearization(group, func, mu, P):
     """The linearization with one slope stencil call per direction i and one
     curvature stencil call per (i, j), summed in (i, j) order."""
     dim = group.dim
-    slopes = np.stack([lie_derivative_right(group, func, mu, i, step)
+    slopes = np.stack([lie_derivative_right(group, func, mu, i)
                        for i in range(dim)], axis=1)
-    bend = sum(P[i, j] * lie_derivative_right_second(group, func, mu, i, j, step)
+    bend = sum(P[i, j] * lie_derivative_right_second(group, func, mu, i, j)
                for i in range(dim) for j in range(dim))
     return np.asarray(func(mu), float), slopes, bend
 

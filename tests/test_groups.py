@@ -8,6 +8,7 @@ from liefilter.distribution import expectation_nodes
 from liefilter.errors import LieDomainError, SingularJacobianError
 from liefilter.groups import (
     SO3,
+    MatrixLieGroup,
     bch_truncated,
     expand_log_perturbation,
     lie_derivative_right,
@@ -168,6 +169,15 @@ def test_abelian_product_commutes_exactly(diag3):
     rng = np.random.default_rng(5)
     a, b = diag3.exp(rng.standard_normal(3)), diag3.exp(rng.standard_normal(3))
     assert np.array_equal(a @ b, b @ a)
+
+
+def test_non_unimodular_basis_is_rejected(se3):
+    # The affine group of the line: [E1, E2] = E2, so tr ad(E1) = 1.  SE(3)
+    # reads tr ad(E1) = -1.25e-16 through vee, a rounding error, and builds.
+    affine = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+    with pytest.raises(ValueError, match="not unimodular"):
+        MatrixLieGroup(affine, name="Aff(1)")
+    assert np.abs(np.trace(se3.ad(np.eye(6)), axis1=1, axis2=2)).max() < 1e-15
 
 
 # -- Jacobians ----------------------------------------------------------------
@@ -655,9 +665,9 @@ def test_lie_derivative_stack_matches_per_element_products(so3, se3):
     for group, g in cases:
         for i in range(group.dim):
             seen = []
-            got = lie_derivative_right(group, lambda h: seen.append(h) or h, g, i, step)
+            got = lie_derivative_right(group, lambda h: seen.append(h) or h, g, i)
             want = []
-            for shift in group._stencil(i, step):
+            for shift in group._stencil(i):
                 ref = np.empty(g.shape)
                 for idx in np.ndindex(*g.shape[:-2]):
                     ref[idx] = g[idx] @ shift

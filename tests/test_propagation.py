@@ -52,7 +52,7 @@ def test_velocities_vanish_without_drift_or_noise(so3):
     model = SdeModel(const(np.zeros(3)), const(np.zeros((3, 3))))
     state = PropagationState(so3.exp(np.array([0.2, 0.1, 0.4])),
                              0.05 * np.eye(3), 0.0)
-    v, dcov = moment_velocities(so3, state, model, PropagationConfig())
+    v, dcov = moment_velocities(so3, state, model)
     assert np.abs(v).max() < 1e-15
     assert np.abs(dcov).max() < 1e-15
 
@@ -61,7 +61,7 @@ def test_mean_velocity_at_zero_cov_is_plain_drift(so3):
     model = SdeModel(nonlinear_so3_drift, const(np.zeros((3, 3))))
     mu = so3.exp(np.array([0.3, -0.2, 0.1]))
     state = PropagationState(mu, np.zeros((3, 3)), 0.0)
-    v, _ = moment_velocities(so3, state, model, PropagationConfig())
+    v, _ = moment_velocities(so3, state, model)
     assert np.abs(v - nonlinear_so3_drift(mu, 0.0)).max() < 1e-14
 
 
@@ -69,7 +69,7 @@ def test_covariance_velocity_at_zero_cov_is_diffusion_square(so3):
     big_h = np.array([[0.2, 0.05, 0.0], [0.0, 0.1, 0.02], [0.01, 0.0, 0.15]])
     model = SdeModel(const(np.zeros(3)), const(big_h))
     state = PropagationState(np.eye(3), np.zeros((3, 3)), 0.0)
-    _, dcov = moment_velocities(so3, state, model, PropagationConfig())
+    _, dcov = moment_velocities(so3, state, model)
     assert np.abs(dcov - big_h @ big_h.T).max() < 1e-14
 
 
@@ -81,7 +81,7 @@ def test_abelian_velocities_match_linear_moment_equations(diag3):
     q = np.array([0.4, -0.1, 0.6])
     cov = np.array([[0.05, 0.01, 0.0], [0.01, 0.04, 0.005], [0.0, 0.005, 0.06]])
     state = PropagationState(diag3.exp(q), cov, 0.0)
-    v, dcov = moment_velocities(diag3, state, model, PropagationConfig())
+    v, dcov = moment_velocities(diag3, state, model)
     assert np.abs(v - (A @ q + b)).max() < 1e-13
     assert np.abs(dcov - (A @ cov + cov @ A.T + big_h @ big_h.T)).max() < 1e-13
 
@@ -117,7 +117,7 @@ def test_moment_velocities_match_per_node_transcription(request, case):
     lead = np.mean([np.outer(f - jli @ v_ref, x) for f, jli, x in zip(fs, jlis, nodes)],
                    axis=0)
     dcov_ref = lead + lead.T + np.mean(spreads, axis=0)
-    v, dcov = moment_velocities(group, state, model, PropagationConfig())
+    v, dcov = moment_velocities(group, state, model)
     assert np.abs(v - v_ref).max() < 1e-13
     assert np.abs(dcov - dcov_ref).max() < 1e-13
 
@@ -177,6 +177,53 @@ def test_heisenberg_covariance_matches_levy_area_law():
         want = np.diag([s, s, s + s**2 / 4])
         assert np.linalg.norm(final.cov - want) / np.linalg.norm(want) <= 1e-12
         assert np.abs(final.mean - np.eye(3)).max() <= 1e-15
+
+
+def taylor_expm(mat):
+    """Matrix exponential by scaling to norm 0.25, 20 Taylor terms and squaring."""
+    squarings = max(0, int(np.ceil(np.log2(max(np.abs(mat).sum(axis=1).max(), 1e-300) / 0.25))))
+    scaled = mat / 2.0**squarings
+    out = term = np.eye(len(mat))
+    for k in range(1, 20):
+        term = term @ scaled / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def linear_covariance(A, Q, total):
+    """The integral of e^(A u) Q e^(A^T u) over [0, total] from one block
+    exponential (Van Loan, IEEE TAC 23, 1978)."""
+    n = len(A)
+    block = taylor_expm(np.block([[-A, Q], [np.zeros((n, n)), A.T]]) * total)
+    return block[n:, n:].T @ block[:n, n:]
+
+
+@pytest.mark.parametrize("case, twist, shape, mean_tol", [
+    ("se3", [0.3, -0.2, 0.5, 1.0, 0.2, -0.4], [1, 1, 1, 2, 2, 2], lambda sigma: 1e-14),
+    ("generic_so3", [0.3, -0.2, 0.5], [1, 2, 1.5], lambda sigma: 0.05 * sigma**4)])
+def test_constant_twist_covariance_matches_linear_law(request, case, twist, shape, mean_tol):
+    # g exp(h dt + H dW) with constant h and H: to first order in the noise the
+    # chart process is dx = -ad(h) x dt + H dW, so the covariance is the linear
+    # law and propagate's relative error is O(sigma^2), falling 4x per halving.
+    # The mean is mu0 exp(hT) up to the closure's O(sigma^4) term, which
+    # vanishes on SE(3).  Six runs, about 1.3 s.
+    group = request.getfixturevalue(case)
+    h = np.array(twist)
+    mu0 = group.exp(np.linspace(0.1, 0.6, group.dim))
+    want_cov = linear_covariance(-group.ad(h), np.diag(np.square(shape)), 1.0)
+    errors = []
+    for sigma in (0.1, 0.05, 0.025):
+        big_h = sigma * np.diag(shape)
+        final = propagate(group, PropagationState(mu0, np.zeros((group.dim, group.dim)), 0.0),
+                          SdeModel(const(h), const(big_h)), 1.0, PropagationConfig(dt=0.01))[-1]
+        want = sigma**2 * want_cov
+        errors.append(np.linalg.norm(final.cov - want) / np.linalg.norm(want))
+        assert np.abs(final.mean - mu0 @ group.exp(h)).max() <= mean_tol(sigma)
+    assert errors[0] < 5e-3
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.6 < coarse / fine < 4.4
 
 
 def so3_heat_kernel_angle_variance(s, terms=300, nodes=400):
@@ -242,7 +289,7 @@ def test_state_dependent_stratonovich_matches_sampler(so3):
 def four_stage_propagate(group, state, model, total_time, cfg):
     """Classical RK4 (or Euler) in the chart at the mean, stage by stage."""
     def velocities(mean, cov, t):
-        return moment_velocities(group, PropagationState(mean, cov, t), model, cfg)
+        return moment_velocities(group, PropagationState(mean, cov, t), model)
 
     def chart_vel(q, body_v):
         return np.linalg.solve(group.right_jacobian(q), body_v)
