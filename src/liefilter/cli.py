@@ -6,7 +6,7 @@ import argparse
 import logging
 import sys
 
-from .errors import ExclusionOverflowError
+from .errors import ExclusionOverflowError, RejectionOverflowError
 from .experiments import (
     ExperimentConfig,
     default_tau_grid,
@@ -34,9 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output CSV path (default results.csv)")
     parser.add_argument("--emit-gnuplot", action="store_true",
                         help="also write <out>.gp plotting the CSV")
-    parser.add_argument("--timing", action="store_true",
-                        help="record wall-clock times in the CSV; breaks "
-                             "byte-level reproducibility of the output")
     parser.add_argument("--verbose", action="store_true")
     return parser
 
@@ -58,11 +55,11 @@ def main(argv=None) -> int:
         parser.error(str(exc))                 # exits with status 2
     try:
         records = run_sweep(cfg)
-    except ExclusionOverflowError as exc:
+    except (ExclusionOverflowError, RejectionOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        emit_csv(records, args.out, include_timing=args.timing)
+        emit_csv(records, args.out)
         if args.emit_gnuplot:
             emit_gnuplot(args.out, args.out + ".gp")
     except OSError as exc:

@@ -90,7 +90,6 @@ class TrialRecord:
     c1_modified: float
     c2_plain: float
     c2_modified: float
-    wall_time: float
     rejected: int = 0                           # prior draws redrawn at this tau
     excluded: int = 0                           # samples excluded at this tau
 
@@ -245,9 +244,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     rule of ``distribution.sample`` (more than 1% and more than 10 prior
     draws redrawn), and with ExclusionOverflowError if more than 0.1% of
     all samples are excluded.
-    Each record's ``wall_time`` is an equal share of the sweep's elapsed
-    time; ``rejected`` and ``excluded`` count its own tau's redrawn prior
-    draws and excluded samples.
+    Each record's ``rejected`` and ``excluded`` count its own tau's redrawn
+    prior draws and excluded samples.
     """
     start = time.perf_counter()
     prior = build_prior()
@@ -283,10 +281,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     c1, c2 = _costs(errors, ok)                            # (2, taus) each, plain first
     costs = zip(*c1.tolist(), *c2.tolist())
     elapsed = time.perf_counter() - start
-    records = [TrialRecord(float(tau), *cost, wall_time=elapsed / len(taus),
-                           rejected=int(rej), excluded=int(exc))
+    records = [TrialRecord(float(tau), *cost, rejected=int(rej), excluded=int(exc))
                for tau, cost, rej, exc in zip(taus, costs, rejected, excluded_per_tau)]
-    log.info("%d taus done in %.1fs", len(taus), elapsed)
+    log.info("%d taus done in %.3f s", len(taus), elapsed)
 
     if excluded > EXCLUSION_LIMIT * total:
         raise ExclusionOverflowError(
@@ -298,20 +295,17 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
-def emit_csv(records: list[TrialRecord], path, include_timing: bool = False) -> None:
+def emit_csv(records: list[TrialRecord], path) -> None:
     """Write one row per tau, ascending, in full-precision scientific notation.
 
-    The wall_ms column is written as 0 unless ``include_timing`` is set:
-    archived result files must be byte-reproducible from (config, seed), and
-    clock readings are not.
+    The file holds results only, so it is byte-reproducible from
+    (config, seed); the sweep's elapsed time goes to the log.
     """
-    header = "tau,c1_plain,c1_mod,c2_plain,c2_mod,wall_ms"
-    lines = [header]
+    lines = ["tau,c1_plain,c1_mod,c2_plain,c2_mod"]
     for rec in sorted(records, key=lambda r: r.tau):
-        wall_ms = rec.wall_time * 1e3 if include_timing else 0.0
         lines.append(",".join(
             f"{v:.17e}" for v in (rec.tau, rec.c1_plain, rec.c1_modified,
-                                  rec.c2_plain, rec.c2_modified, wall_ms)))
+                                  rec.c2_plain, rec.c2_modified)))
     try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -223,9 +223,13 @@ def fuse_group(group: MatrixLieGroup, prior: ConcentratedGaussian,
     shares the prior and the gain.  A stack ``obs.noise_cov`` of shape
     ``(T, N, N)`` meets observations ``(T, S, n, n)``: each leading index gets
     its own gain, and the posterior has mean ``(T, S, n, n)`` and covariance
-    ``(T, S, N, N)``.  An observation map ``obs.func`` raises ``ValueError``."""
+    ``(T, S, N, N)``.  An observation map ``obs.func``, or an ``obs.group``
+    with another basis than ``group``, raises ``ValueError``."""
     if obs.func is not None:
         raise ValueError("fuse_group takes no obs.func; use gaussian_update_general")
+    if obs.group is not group and not np.array_equal(obs.group.basis, group.basis):
+        raise ValueError(f"fuse_group observes the state's own group, not {obs.group.name}; "
+                         "use gaussian_update_general")
     mu = np.asarray(prior.mean, float)
     P = symmetrize(np.asarray(prior.cov, float))
     R = symmetrize(np.asarray(obs.noise_cov, float))

@@ -36,6 +36,12 @@ ITO = "ito"
 STRATONOVICH = "stratonovich"
 
 
+def _check_interpretation(interpretation) -> None:
+    if interpretation not in (ITO, STRATONOVICH):
+        raise ValueError(f"interpretation must be {ITO!r} or {STRATONOVICH!r}, "
+                         f"not {interpretation!r}")
+
+
 @dataclass(frozen=True)
 class SdeModel:
     """Injection-form SDE: g(t+dt) = g(t) exp(h dt + H dW).
@@ -47,6 +53,9 @@ class SdeModel:
     drift: Callable[[np.ndarray, float], np.ndarray]
     diffusion: Callable[[np.ndarray, float], np.ndarray]
     interpretation: str = ITO
+
+    def __post_init__(self):
+        _check_interpretation(self.interpretation)
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,9 @@ class ParametricSdeModel:
     base: np.ndarray
     coefficients: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
     interpretation: str = ITO
+
+    def __post_init__(self):
+        _check_interpretation(self.interpretation)
 
 
 @dataclass(frozen=True)

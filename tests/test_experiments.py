@@ -156,7 +156,6 @@ def test_sweep_smoke_and_determinism(model):
         assert (a.c1_plain, a.c1_modified, a.c2_plain, a.c2_modified) == \
             (b.c1_plain, b.c1_modified, b.c2_plain, b.c2_modified)
         assert min(a.c1_plain, a.c1_modified, a.c2_plain, a.c2_modified) >= 0
-        assert a.wall_time >= 0
 
 
 def _per_sample_group_sweep(so3, seed, taus, count):
@@ -392,27 +391,23 @@ def test_euclidean_sweep_linearizes_once(monkeypatch):
 def test_emit_csv_header_only_for_empty_records(tmp_path):
     out = tmp_path / "empty.csv"
     emit_csv([], out)
-    assert out.read_text() == "tau,c1_plain,c1_mod,c2_plain,c2_mod,wall_ms\n"
+    assert out.read_text() == "tau,c1_plain,c1_mod,c2_plain,c2_mod\n"
 
 
 def test_emit_csv_layout_and_determinism(tmp_path):
-    records = [TrialRecord(tau, 1e-3, 9e-4, 2e-3, 1.5e-3, wall_time=0.123 + tau)
-               for tau in default_tau_grid()]
+    records = [TrialRecord(tau, 1e-3, 9e-4, 2e-3, 1.5e-3) for tau in default_tau_grid()]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_csv(records, a)
     emit_csv(list(reversed(records)), b)
     lines = a.read_text().strip().split("\n")
     assert len(lines) == 14
-    assert lines[0] == "tau,c1_plain,c1_mod,c2_plain,c2_mod,wall_ms"
-    assert a.read_bytes() == b.read_bytes()          # sorted by tau, timing zeroed
-    assert all(line.endswith("0.00000000000000000e+00") for line in lines[1:])
-    timed = tmp_path / "timed.csv"
-    emit_csv(records, timed, include_timing=True)
-    assert timed.read_bytes() != a.read_bytes()
+    assert lines[0] == "tau,c1_plain,c1_mod,c2_plain,c2_mod"
+    assert all(len(line.split(",")) == 5 for line in lines[1:])
+    assert a.read_bytes() == b.read_bytes()          # sorted by tau
 
 
 def test_emit_csv_roundtrip_precision(tmp_path):
-    rec = TrialRecord(0.123456789123456789, 1 / 3, 2 / 7, 1 / 9, 3 / 11, 0.0)
+    rec = TrialRecord(0.123456789123456789, 1 / 3, 2 / 7, 1 / 9, 3 / 11)
     out = tmp_path / "prec.csv"
     emit_csv([rec], out)
     row = out.read_text().strip().split("\n")[1].split(",")
@@ -460,6 +455,24 @@ def test_cli_exit_code_on_exclusion_overflow(tmp_path, monkeypatch):
     code = main(["--model", "group", "--n", "20", "--tau-points", "2",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_cli_exit_code_on_rejection_overflow(tmp_path, monkeypatch, capsys):
+    """Every first prior candidate leaving the chart domain overflows the
+    rejection rule: exit code 2 and a one-line error, no traceback."""
+    from liefilter import experiments
+
+    def first_candidates_out(x):
+        x = np.asarray(x)
+        return np.zeros(x.shape[:-1], bool) if x.ndim > 1 else True
+
+    monkeypatch.setattr(experiments._SO3, "in_domain", first_candidates_out)
+    code = main(["--model", "group", "--n", "20", "--tau-points", "2",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 40/80 draws outside the chart domain") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--tau-min", "0"],

@@ -24,7 +24,7 @@ from liefilter.fusion import (
     gaussian_update_general,
 )
 from liefilter.experiments import measure_euclidean
-from liefilter.groups import lie_derivative_right, lie_derivative_right_second
+from liefilter.groups import DiagonalGroup, lie_derivative_right, lie_derivative_right_second
 
 from conftest import assert_bitwise
 
@@ -357,6 +357,21 @@ def test_fuse_group_rejects_an_observation_map(so3):
     obs = ObservationModelGroup(so3, 0.01 * np.eye(3), func=lambda g: np.swapaxes(g, -1, -2))
     with pytest.raises(ValueError, match="gaussian_update_general"):
         fuse_group(so3, prior, obs, so3.exp(np.array([0.1, 0.0, 0.0])))
+
+
+def test_fuse_group_rejects_an_observation_on_another_group(so3, diag3, generic_so3):
+    """fuse_group observes the state's own group: an observation model on
+    another basis would otherwise be read as one on the state's group."""
+    prior = ConcentratedGaussian(np.eye(3), 0.1 * np.eye(3))
+    g_z = so3.exp(np.array([0.1, 0.0, 0.0]))
+    for other in (diag3, DiagonalGroup(2)):
+        obs = ObservationModelGroup(other, 0.01 * np.eye(other.dim))
+        with pytest.raises(ValueError, match="gaussian_update_general"):
+            fuse_group(so3, prior, obs, g_z)
+    same = fuse_group(so3, prior, ObservationModelGroup(generic_so3, 0.01 * np.eye(3)), g_z)
+    own = fuse_group(so3, prior, ObservationModelGroup(so3, 0.01 * np.eye(3)), g_z)
+    assert_bitwise(same.mean, own.mean)
+    assert_bitwise(same.cov, own.cov)
 
 
 def test_fuse_group_consistent_with_general_path(so3):

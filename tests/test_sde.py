@@ -68,6 +68,15 @@ def test_constant_drift_follows_one_parameter_subgroup(so3):
         assert np.abs(final[0] - g0 @ so3.exp(0.5 * c)).max() < 1e-12
 
 
+@pytest.mark.parametrize("reading", ["Stratonovich", "ITO", "strat", None])
+def test_models_reject_an_unknown_interpretation(reading):
+    """A misspelt reading would otherwise be sampled as Ito."""
+    with pytest.raises(ValueError, match="interpretation"):
+        SdeModel(const(np.zeros(3)), const(np.zeros((3, 3))), reading)
+    with pytest.raises(ValueError, match="interpretation"):
+        ParametricSdeModel(np.eye(3), const_pair(np.zeros(3), np.zeros((3, 3))), reading)
+
+
 def test_parametric_zero_coefficients_constant(so3):
     model = ParametricSdeModel(np.eye(3), const_pair(np.zeros(3), np.zeros((3, 3))))
     x0 = np.array([0.2, 0.1, -0.3])
