@@ -56,11 +56,11 @@ def sqrt_psd(cov: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-def expectation_nodes(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """The 2N equal-weight spherical-cubature nodes of N(mean, cov)."""
-    mean = np.asarray(mean, float)
-    offsets = np.sqrt(mean.shape[-1]) * sqrt_psd(cov).T
-    return np.concatenate([mean + offsets, mean - offsets], axis=0)
+def expectation_nodes(cov: np.ndarray) -> np.ndarray:
+    """The 2N equal-weight spherical-cubature nodes of N(0, cov), 0 + o and
+    0 - o for the columns o of sqrt(N) sqrt_psd(cov): no node is -0.0."""
+    offsets = np.sqrt(len(cov)) * sqrt_psd(cov).T
+    return np.concatenate([0.0 + offsets, 0.0 - offsets], axis=0)
 
 
 def _check_rejections(rejected: int, kept: int) -> None:
@@ -218,7 +218,7 @@ def fit_mean_covariance(group: MatrixLieGroup, m: np.ndarray, cov: np.ndarray,
             "chart moments exceed the concentrated-distribution threshold 0.5; "
             "the fitted mean/covariance may be inaccurate",
             NonConcentratedWarning, stacklevel=2)
-    nodes = expectation_nodes(np.zeros(group.dim), cov)
+    nodes = expectation_nodes(cov)
     m_prime, cross = _fitting_terms(group.left_jacobian_inv(nodes), nodes, m)
     cov_m = cov - (cross + cross.T)
     return ConcentratedGaussian(mu @ group.exp(m_prime), project_psd(cov_m))

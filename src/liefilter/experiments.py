@@ -34,7 +34,7 @@ from .errors import (
 )
 # fuse_group stays importable here: bench/test_gates.py checks that the tracer
 # wraps a name imported into two modules through it.
-from .fusion import _costs, _kalman_step, _linearize, _posterior_mean, fuse_group  # noqa: F401
+from .fusion import _costs, _kalman_step, _linearize, _posterior_means, fuse_group  # noqa: F401
 from .groups import SO3
 
 log = logging.getLogger(__name__)
@@ -236,9 +236,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
     tau are drawn from their own streams and then fused as one stacked batch
     of shape (taus, samples): one linearization (vector model) and one chart
     update per sweep, with one gain and one chart covariance per tau; the
-    costs read only the means that both estimators map to the group, both
-    taken through one chart logarithm.  A sample whose innovation or either
-    scoring logarithm leaves the chart domain is excluded pairwise and
+    costs read only the means that both estimators map to the group through
+    one exp and score through one chart logarithm.  A sample whose innovation
+    or either scoring logarithm leaves the chart domain is excluded pairwise and
     counted, and ``fusion._costs`` scores every tau over its kept samples
     (NaN if none).  The run fails with RejectionOverflowError under the
     rule of ``distribution.sample`` (more than 1% and more than 10 prior
@@ -267,13 +267,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[TrialRecord]:
         linearization = _linearize(_SO3, measure_euclidean, mu, P)
         z, valid = measure_euclidean(truth) + noise, True
     else:
-        # H = I; the innovation's mask is the screen: its rows leave through
-        # ok, zeroed so that no NaN reaches the corrected covariance's eigh
+        # H = I; the innovation's mask is the screen: its NaN rows leave through ok
         linearization = (0.0, np.eye(3), 0.0)
         z, valid = _SO3.log_masked(np.linalg.inv(mu) @ (truth @ _SO3.exp(noise)))
-        z[~valid] = 0.0
     m, cov = _kalman_step(linearization, P, R, z)
-    estimates = np.stack([_posterior_mean(_SO3, mu, m, cov, flag) for flag in (False, True)])
+    estimates = _posterior_means(_SO3, mu, m, cov)          # (2, taus, samples, 3, 3)
     errors, scored = _SO3.log_masked(np.swapaxes(truth, -1, -2) @ estimates)
     ok = valid & scored.all(axis=0)                        # (taus, samples)
     excluded_per_tau = cfg.sample_count - ok.sum(axis=1)

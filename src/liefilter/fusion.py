@@ -105,7 +105,7 @@ def gaussian_update_general(group: MatrixLieGroup,
     joint = np.zeros((n + m_dim, n + m_dim))
     joint[:n, :n] = P
     joint[n:, n:] = R
-    nodes = expectation_nodes(np.zeros(n + m_dim), joint)
+    nodes = expectation_nodes(joint)
     xs, rs = nodes[:, :n], nodes[:, n:]
     mu = np.asarray(prior.mean, float)
 
@@ -130,11 +130,11 @@ def gaussian_update_general(group: MatrixLieGroup,
     return PosteriorCoordinates(m, cov, predicted, S, C, K)
 
 
-def _posterior_mean(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,
-                    cov: np.ndarray, modified: bool) -> np.ndarray:
-    """The mean of :func:`_posterior` alone, without its covariance."""
-    return mu @ group.exp(_corrected_mean(group.ad(np.eye(group.dim)), m, cov)
-                          if modified else m)
+def _posterior_means(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,
+                     cov: np.ndarray) -> np.ndarray:
+    """The means of :func:`_posterior` alone, without covariances: the plain
+    and the corrected, ``(2, ..., n, n)`` in that order, from one ``exp``."""
+    return mu @ group.exp(np.stack([m, _corrected_mean(group.ad(np.eye(group.dim)), m, cov)]))
 
 
 def _posterior(group: MatrixLieGroup, mu: np.ndarray, m: np.ndarray,

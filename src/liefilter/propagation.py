@@ -20,7 +20,7 @@ from .distribution import (
     project_psd,
     symmetrize,
 )
-from .errors import StepRejectedError
+from .errors import CholeskyFailureError, StepRejectedError
 from .groups import MatrixLieGroup
 from .sde import STRATONOVICH, SdeModel, _chart_coefficients, stratonovich_to_ito
 
@@ -62,7 +62,7 @@ def moment_velocities(group: MatrixLieGroup, state: PropagationState, model: Sde
     """
     if model.interpretation == STRATONOVICH:
         model = stratonovich_to_ito(group, model)
-    pts = expectation_nodes(np.zeros(group.dim), state.cov)
+    pts = expectation_nodes(state.cov)
     drift, big, jri = _chart_coefficients(group, model, state.mean, pts, state.t)
     jli = jri - group.ad(pts)       # J_l^-1(x) = J_r^-1(x) - ad(x): no second series
     v, cross = _fitting_terms(jli, pts, drift.mean(axis=0))
@@ -83,7 +83,9 @@ def propagate(group: MatrixLieGroup, state0: PropagationState, model: SdeModel,
     through exp, so iterates stay exactly on the group.  The covariance is
     advanced in matrix space and re-projected to PSD after each step.  Raises
     StepRejectedError if a step drives the covariance indefinite beyond the
-    1e-8 slack before clamping.
+    1e-8 slack before clamping, or an RK4 stage drives it indefinite beyond
+    the tolerance of ``sqrt_psd``; an indefinite ``state0.cov`` raises
+    CholeskyFailureError.
     """
     if not total_time > 0 or not np.isfinite(total_time):
         raise ValueError("total_time must be positive and finite")
@@ -103,7 +105,11 @@ def propagate(group: MatrixLieGroup, state0: PropagationState, model: SdeModel,
         for c, w in stages:
             q = vel * dt * c
             stage = PropagationState(mu @ group.exp(q), cov + s * dt * c, t + dt * c)
-            v, s = moment_velocities(group, stage, model)
+            try:
+                v, s = moment_velocities(group, stage, model)
+            except CholeskyFailureError as exc:     # from the stage nodes' sqrt_psd
+                raise StepRejectedError(f"stage covariance lost PSD at t={stage.t:.6g}: "
+                                        f"{exc}") from exc
             vel = np.linalg.solve(group.right_jacobian(q), v)
             dmu, dcov = dmu + w * vel, dcov + w * s
         dmu, dcov = dmu * dt / weight, dcov * dt / weight

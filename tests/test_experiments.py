@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from liefilter.fusion import (
     fuse_euclidean,
     fuse_group,
 )
+from liefilter.groups import SO3
 
 from conftest import assert_bitwise
 
@@ -191,15 +193,15 @@ def test_sweep_excludes_a_failed_scoring_pairwise(so3, monkeypatch, caplog):
     taus = np.array([1e-2, 1e-1])
     truths, e_plain, e_mod = _per_sample_group_sweep(so3, seed, taus, count)
     half_turn = np.diag([1.0, -1.0, -1.0])
-    posterior_mean = experiments._posterior_mean
+    posterior_means = experiments._posterior_means
 
-    def first_sample_flipped(group, mu, m, cov, modified):
-        mean = posterior_mean(group, mu, m, cov, modified)
-        j = int(modified)                   # plain at tau 0, corrected at tau 1
-        mean[j, 0] = truths[j, 0] @ half_turn
-        return mean
+    def first_sample_flipped(group, mu, m, cov):
+        means = posterior_means(group, mu, m, cov)      # [estimator, tau, sample]
+        for j in (0, 1):                    # plain at tau 0, corrected at tau 1
+            means[j, j, 0] = truths[j, 0] @ half_turn
+        return means
 
-    monkeypatch.setattr(experiments, "_posterior_mean", first_sample_flipped)
+    monkeypatch.setattr(experiments, "_posterior_means", first_sample_flipped)
     cfg = ExperimentConfig(model="group", sample_count=count, tau_grid=taus, seed=seed)
     with caplog.at_level(logging.WARNING, logger=experiments.__name__), \
             pytest.warns(NonConcentratedWarning):
@@ -211,6 +213,51 @@ def test_sweep_excludes_a_failed_scoring_pairwise(so3, monkeypatch, caplog):
         [_per_sample_streams(so3, seed, j, count, root, 3)[2] for j in range(len(taus))]
     for j, rec in enumerate(records):
         plain, mod = e_plain[j, 1:], e_mod[j, 1:]
+        want = (np.linalg.norm(plain.mean(axis=0)) ** 2, np.linalg.norm(mod.mean(axis=0)) ** 2,
+                (plain * plain).sum(axis=-1).mean(), (mod * mod).sum(axis=-1).mean())
+        got = (rec.c1_plain, rec.c1_modified, rec.c2_plain, rec.c2_modified)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+class _MaskedInnovations(SO3):
+    """SO(3) whose first ``log_masked`` call, the group sweep's innovation,
+    marks the samples ``hit`` outside the chart domain with rows ``fill``."""
+
+    def __init__(self, hit, fill):
+        super().__init__()
+        self.hit, self.fill, self.calls = hit, fill, 0
+
+    def log_masked(self, g):
+        x, ok = super().log_masked(g)
+        if self.calls == 0:
+            x[self.hit], ok[self.hit] = self.fill, False
+        self.calls += 1
+        return x, ok
+
+
+def test_sweep_drops_only_the_samples_of_nan_innovations(so3, monkeypatch):
+    """A NaN innovation row stays in its own sample, which leaves both costs of
+    its tau, with no RuntimeWarning: the records equal those of the same
+    failures with zeroed rows, and the public per-sample fusion of the kept
+    samples."""
+    seed, count = 13, 1200
+    taus = np.array([1e-2, 1e-1])
+    hit = (np.array([0, 1]), np.array([0, 7]))               # (tau, sample)
+    cfg = ExperimentConfig(model="group", sample_count=count, tau_grid=taus, seed=seed)
+
+    def sweep(fill):
+        monkeypatch.setattr(experiments, "_SO3", _MaskedInnovations(hit, fill))
+        with pytest.warns(NonConcentratedWarning), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return run_sweep(cfg)
+
+    records = sweep(np.nan)
+    assert records == sweep(0.0)
+    assert [rec.excluded for rec in records] == [1, 1]
+    _, e_plain, e_mod = _per_sample_group_sweep(so3, seed, taus, count)
+    for j, rec in enumerate(records):
+        keep = np.arange(count) != hit[1][j]
+        plain, mod = e_plain[j, keep], e_mod[j, keep]
         want = (np.linalg.norm(plain.mean(axis=0)) ** 2, np.linalg.norm(mod.mean(axis=0)) ** 2,
                 (plain * plain).sum(axis=-1).mean(), (mod * mod).sum(axis=-1).mean())
         got = (rec.c1_plain, rec.c1_modified, rec.c2_plain, rec.c2_modified)
@@ -347,14 +394,14 @@ def test_sweep_rescores_taus_that_lost_samples_bit_for_bit(so3, monkeypatch):
             float(np.linalg.norm(e_mod.mean(axis=0)) ** 2),
             float((e_plain * e_plain).sum(axis=-1).mean()),
             float((e_mod * e_mod).sum(axis=-1).mean()))
-    posterior_mean = experiments._posterior_mean
+    posterior_means = experiments._posterior_means
 
-    def flipped(group, mu, m, cov, modified):
-        mean = posterior_mean(group, mu, m, cov, modified)
-        mean[0, 0], mean[2] = -truths[0, 0], -truths[2]
-        return mean
+    def flipped(group, mu, m, cov):
+        means = posterior_means(group, mu, m, cov)      # [estimator, tau, sample]
+        means[:, 0, 0], means[:, 2] = -truths[0, 0], -truths[2]
+        return means
 
-    monkeypatch.setattr(experiments, "_posterior_mean", flipped)
+    monkeypatch.setattr(experiments, "_posterior_means", flipped)
     with pytest.warns(NonConcentratedWarning), pytest.raises(ExclusionOverflowError) as err:
         run_sweep(cfg)
     records = err.value.records

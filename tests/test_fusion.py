@@ -100,6 +100,39 @@ def test_general_update_abelian_linear_is_textbook_kalman(diag3):
     assert np.abs(post.gain - K).max() < 1e-12
 
 
+def test_general_update_rotation_map_leaves_translation_alone(so3, se3):
+    """k(g) = R observes only SE(3)'s rotation: under a block-diagonal prior the
+    posterior's translation mean and the cross covariance stay 0, the
+    translation covariance keeps its prior value and the rotation block is the
+    SO(3) update of the rotation prior."""
+    P = np.zeros((6, 6))
+    P[:3, :3] = [[0.04, 0.01, 0.0], [0.01, 0.05, -0.005], [0.0, -0.005, 0.03]]
+    P[3:, 3:] = np.diag([0.2, 0.3, 0.4])
+    R = 0.01 * np.eye(3)
+    prior = ConcentratedGaussian(se3.exp(np.array([0.2, -0.1, 0.3, 1.0, 2.0, -0.5])), P)
+    g_z = prior.mean[:3, :3] @ so3.exp(np.array([0.05, -0.02, 0.04]))
+    obs = ObservationModelGroup(so3, R, func=lambda g: g[..., :3, :3])
+    post = gaussian_update_general(se3, prior, obs, g_z)
+    assert np.all(post.m[3:] == 0)
+    assert np.all(post.cov[:3, 3:] == 0) and np.all(post.cov[3:, :3] == 0)
+    assert np.abs(post.cov[3:, 3:] - P[3:, 3:]).max() <= 1e-12
+    rotation = gaussian_update_general(
+        so3, ConcentratedGaussian(prior.mean[:3, :3], P[:3, :3]), ObservationModelGroup(so3, R), g_z)
+    assert np.abs(post.m[:3]).max() > 1e-2
+    assert np.abs(post.m[:3] - rotation.m).max() <= 1e-12
+    assert np.abs(post.cov[:3, :3] - rotation.cov).max() <= 1e-12
+
+
+def test_general_update_identity_map_is_no_map_bitwise(so3):
+    R = 0.005 * np.eye(3)
+    prior = ConcentratedGaussian(so3.exp(np.array([0.4, 0.1, -0.2])), 0.01 * np.eye(3))
+    g_z = prior.mean @ so3.exp(np.array([0.08, -0.05, 0.03]))
+    got = gaussian_update_general(so3, prior, ObservationModelGroup(so3, R, func=lambda g: g), g_z)
+    want = gaussian_update_general(so3, prior, ObservationModelGroup(so3, R), g_z)
+    for name, value in vars(want).items():
+        assert_bitwise(getattr(got, name), value)
+
+
 # -- the shared Kalman update -------------------------------------------------------
 
 def transcribed_gain(S, C):

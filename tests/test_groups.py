@@ -577,7 +577,7 @@ def test_left_multiply_is_the_stacked_product_bitwise(so3, se3, diag3):
     rng = np.random.default_rng(79)
     root6 = rng.standard_normal((6, 6)) * 0.3
     cases = ((so3, rng.standard_normal((10_000, 3)) * 0.8),
-             (se3, expectation_nodes(np.zeros(6), root6 @ root6.T)),
+             (se3, expectation_nodes(root6 @ root6.T)),
              (se3, rng.standard_normal((1_000, 6)) * 0.5),
              (diag3, rng.standard_normal((500, 3)) * 0.3))
     for group, x in cases:

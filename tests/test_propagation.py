@@ -104,7 +104,7 @@ def test_moment_velocities_match_per_node_transcription(request, case):
     state = PropagationState(group.exp(0.3 * rng.standard_normal(dim)),
                              root @ root.T + 0.01 * np.eye(dim), 0.4)
     hht = big_h @ big_h.T
-    nodes = expectation_nodes(np.zeros(dim), state.cov)
+    nodes = expectation_nodes(state.cov)
     jlis, fs, spreads = [], [], []
     for x in nodes:
         jri = group.right_jacobian_inv(x)
@@ -242,9 +242,11 @@ def so3_heat_kernel_angle_variance(s, terms=300, nodes=400):
 
 
 def test_so3_covariance_matches_heat_kernel(so3):
-    # The isotropic Ito injection g exp(sigma dW) from I: the error left is the
-    # Gaussian closure's, of order (sigma^2 t)^2; without the Ito curvature
-    # the propagated covariance is the linear law sigma^2 t, far outside it.
+    # The isotropic Ito injection g exp(sigma dW) from I.  The error left, of
+    # order (sigma^2 t)^2, is mostly the degree-3 cubature rule's, not the
+    # Gaussian closure's: a degree-5 rule cuts it 21-500x for sigma^2 t below
+    # 0.4.  Without the Ito curvature the propagated covariance is the linear
+    # law sigma^2 t, far outside the bound.
     for s in (0.0225, 0.09, 0.36):
         model = SdeModel(const(np.zeros(3)), const(np.sqrt(s) * np.eye(3)))
         final = propagate(so3, PropagationState(np.eye(3), np.zeros((3, 3)), 0.0),
@@ -430,6 +432,17 @@ def test_step_rejected_when_covariance_turns_indefinite(diag3):
     with pytest.raises(StepRejectedError):
         propagate(diag3, PropagationState(np.eye(3), 0.1 * np.eye(3), 0.0),
                   model, 0.1, PropagationConfig(dt=0.01, integrator="euler"))
+
+
+def test_step_rejected_when_an_rk4_stage_covariance_turns_indefinite(diag3):
+    """A fast rotation of the chart covariance leaves PSD first in a stage,
+    cov + c dt s, whose nodes need its square root: that too is a rejected
+    step, not the CholeskyFailureError of an indefinite starting covariance."""
+    A = 150.0 * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    model = SdeModel(linear_abelian_drift(diag3, A, np.zeros(3)), const(np.zeros((3, 3))))
+    with pytest.raises(StepRejectedError, match="stage"):
+        propagate(diag3, PropagationState(np.eye(3), np.diag([0.1, 0.01, 0.1]), 0.0),
+                  model, 0.1, PropagationConfig(dt=0.01))
 
 
 # -- CSV export ---------------------------------------------------------------------

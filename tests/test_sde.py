@@ -301,7 +301,7 @@ def test_ito_curvature_matches_single_contraction_bitwise(so3, se3):
     rows = rng.standard_normal((1_000, 3)) * 0.9
     rows[0] = 0.0
     root6 = rng.standard_normal((6, 6)) * 0.3
-    nodes = expectation_nodes(np.zeros(6), root6 @ root6.T)
+    nodes = expectation_nodes(root6 @ root6.T)
     for group, x in ((so3, rows), (se3, nodes)):
         big = rng.standard_normal((group.dim, group.dim)) * 0.2
         pair = group.right_jacobian_inv_partials(x)
@@ -319,7 +319,7 @@ def test_chart_coefficients_shared_diffusion_is_the_stacked_product_bitwise(
     rng = np.random.default_rng(61)
     root6 = rng.standard_normal((6, 6)) * 0.3
     cases = ((so3, rng.standard_normal((10_000, 3)) * 0.5),
-             (se3, expectation_nodes(np.zeros(6), root6 @ root6.T)))
+             (se3, expectation_nodes(root6 @ root6.T)))
     for group, x in cases:
         big = rng.standard_normal((group.dim, group.dim)) * 0.2
         drift = const(rng.standard_normal(group.dim) * 0.1)
